@@ -1,5 +1,5 @@
 // Package main_test exposes every experiment of the paper's evaluation as a
-// Go benchmark, per the DESIGN.md experiment index. Each benchmark executes
+// Go benchmark. Each benchmark executes
 // the corresponding harness in internal/bench; run a single artifact with
 // e.g.
 //
@@ -86,10 +86,8 @@ func BenchmarkFigure17BreakdownSGX(b *testing.B) { runExp(b, "fig17") }
 // breakdown).
 func BenchmarkFigure18BreakdownNative(b *testing.B) { runExp(b, "fig18") }
 
-// BenchmarkAblationKeyCache measures the key-cache design choice
-// (DESIGN.md §6).
+// BenchmarkAblationKeyCache measures the key-cache design choice.
 func BenchmarkAblationKeyCache(b *testing.B) { runExp(b, "ablation-keycache") }
 
-// BenchmarkAblationExclusiveInterval sweeps FnPacker's exclusivity interval
-// (DESIGN.md §6).
+// BenchmarkAblationExclusiveInterval sweeps FnPacker's exclusivity interval.
 func BenchmarkAblationExclusiveInterval(b *testing.B) { runExp(b, "ablation-interval") }

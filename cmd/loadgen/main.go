@@ -112,7 +112,7 @@ func main() {
 	traceSample := flag.Float64("trace-sample", 0, "with -local: head-sample this fraction of requests for lifecycle tracing and report the per-stage decomposition (0 = off; anomalous requests are always kept)")
 	flag.Parse()
 
-	// -shape is the autoscale experiment's shorthand over -pattern.
+	// -shape is a workload-shape shorthand over -pattern.
 	switch *shape {
 	case "":
 	case "steady":
@@ -458,7 +458,7 @@ func runLocal(c localCfg) {
 		wc.Faults = inj
 		if c.retries > 0 {
 			// -retries arms the whole recovery plane; with it at 0 the chaos
-			// run shows raw loss, like the bench's no-recovery mode.
+			// run shows raw loss.
 			wc.KSRetries = 3
 			wc.KSRetryBackoff = 50 * time.Millisecond
 			wc.KSBrownout = 250 * time.Millisecond
@@ -470,7 +470,7 @@ func runLocal(c localCfg) {
 	}
 	if c.sandboxStart > 0 || c.keepWarm > 0 || c.autoscale {
 		// Reaping and boot-time enclave launch make keep-warm (fixed or
-		// adaptive) and prewarming observable, like the autoscale bench.
+		// adaptive) and prewarming observable.
 		wc.ReaperInterval = kw / 8
 		wc.StartEnclave = true
 	}

@@ -5,31 +5,9 @@
 //	sesemi-bench -list
 //	sesemi-bench -exp fig9
 //	sesemi-bench -exp all [-o results.txt]
-//	sesemi-bench -exp gateway -json BENCH_gateway.json
-//	sesemi-bench -exp routing -json BENCH_routing.json
-//	sesemi-bench -exp fairness -json BENCH_fairness.json
-//	sesemi-bench -exp keylocality -json BENCH_keylocality.json
-//	sesemi-bench -exp autoscale -json BENCH_autoscale.json
-//	sesemi-bench -exp hol -json BENCH_hol.json
-//	sesemi-bench -exp chaos -json BENCH_chaos.json
-//	sesemi-bench -exp frontier -json BENCH_frontier.json
-//	sesemi-bench -exp rollout -json BENCH_rollout.json
-//	sesemi-bench -exp obstax -json BENCH_obstax.json
-//	sesemi-bench -exp routing -smoke    (tiny CI configuration)
-//	sesemi-bench -exp fairness -smoke   (tiny CI configuration)
-//	sesemi-bench -exp keylocality -smoke (tiny CI configuration)
-//	sesemi-bench -exp autoscale -smoke  (tiny CI configuration)
-//	sesemi-bench -exp hol -smoke        (tiny CI configuration)
-//	sesemi-bench -exp chaos -smoke      (tiny CI configuration; exits non-zero
-//	                                     if any request is lost with recovery on)
-//	sesemi-bench -exp frontier -smoke   (2-shard world; exits non-zero unless
-//	                                     sharded throughput ≥ single-shard)
-//	sesemi-bench -exp rollout -smoke    (slow canary ramp; exits non-zero unless
-//	                                     it auto-rolls back with zero lost
-//	                                     requests and a revoked measurement)
-//	sesemi-bench -exp obstax -smoke     (tiny CI configuration; exits non-zero
-//	                                     if the tracing overhead gate trips or
-//	                                     /metrics fails the parse check)
+//
+// Serving performance is measured by the benchmark/ module (bash
+// benchmark/run.sh), not by this command.
 package main
 
 import (
@@ -45,244 +23,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (see -list) or 'all'")
 	out := flag.String("o", "", "write output to this file instead of stdout")
 	list := flag.Bool("list", false, "list available experiments")
-	jsonOut := flag.String("json", "", "with -exp gateway, routing, fairness, keylocality, autoscale, hol, chaos, frontier, rollout or obstax: also write the machine-readable snapshot here")
-	smoke := flag.Bool("smoke", false, "with -exp routing, fairness, keylocality, autoscale, hol, chaos, frontier, rollout or obstax: run the tiny CI configuration instead of the full comparison")
 	flag.Parse()
-
-	if *smoke && *exp != "routing" && *exp != "fairness" && *exp != "keylocality" && *exp != "autoscale" && *exp != "hol" && *exp != "chaos" && *exp != "frontier" && *exp != "rollout" && *exp != "obstax" {
-		fatal(fmt.Errorf("-smoke is only meaningful with -exp routing, fairness, keylocality, autoscale, hol, chaos, frontier, rollout or obstax"))
-	}
-	if *jsonOut != "" {
-		if *list {
-			fatal(fmt.Errorf("-json and -list are mutually exclusive"))
-		}
-		if *out != "" {
-			fatal(fmt.Errorf("-json and -o are mutually exclusive (the snapshot is already a file)"))
-		}
-		switch *exp {
-		case "gateway":
-			snap, err := bench.WriteGatewaySnapshot(*jsonOut, bench.GatewayBenchConfig{})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("gateway snapshot → %s (unbatched %.0f req/s, gateway %.0f req/s, %.2fx)\n",
-				*jsonOut, snap.Unbatched.RPS, snap.Batched.RPS, snap.Speedup)
-		case "routing":
-			cfg := bench.RoutingBenchConfig{}
-			if *smoke {
-				cfg = bench.RoutingSmokeConfig()
-			}
-			snap, err := bench.WriteRoutingSnapshot(*jsonOut, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("routing snapshot → %s (gateway %.0f req/s, +affinity %.0f req/s, %.2fx, warm-hit %.1f%%)\n",
-				*jsonOut, snap.Gateway.RPS, snap.Affinity.RPS, snap.AffinitySpeedup, 100*snap.Affinity.HotRate)
-		case "fairness":
-			cfg := bench.FairnessBenchConfig{}
-			if *smoke {
-				cfg = bench.FairnessSmokeConfig()
-			}
-			snap, err := bench.WriteFairnessSnapshot(*jsonOut, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("fairness snapshot → %s (light p99 vs solo: fifo %.1fx, drr %.1fx; throughput drr/fifo %.2f)\n",
-				*jsonOut, snap.LightP99RatioFIFO, snap.LightP99RatioDRR, snap.ThroughputRatio)
-		case "keylocality":
-			cfg := bench.KeyLocalityBenchConfig{SweepUsers: []int{4, 16}, SweepCaches: []int{1, 4, 64}}
-			if *smoke {
-				cfg = bench.KeyLocalitySmokeConfig()
-			}
-			snap, err := bench.WriteKeyLocalitySnapshot(*jsonOut, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("keylocality snapshot → %s (single-pair %.1fms mean, lru+group %.1fms, %.2fx; key fetches %.0fx fewer; solo ratio %.2f)\n",
-				*jsonOut, snap.SinglePair.MeanMs, snap.LRUGrouped.MeanMs, snap.MeanSpeedup, snap.KeyFetchReduction, snap.SoloThroughputRatio)
-		case "autoscale":
-			cfg := bench.AutoscaleBenchConfig{}
-			if *smoke {
-				cfg = bench.AutoscaleSmokeConfig()
-			}
-			snap, err := bench.WriteAutoscaleSnapshot(*jsonOut, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("autoscale snapshot → %s (demand cold starts %.1fx fewer, ramp p99 %.2fx lower, idle ratio %.2f, steady throughput %.2f)\n",
-				*jsonOut, snap.DemandStartReduction, snap.RampP99Ratio, snap.IdleRatio, snap.SteadyThroughputRatio)
-		case "hol":
-			cfg := bench.HOLBenchConfig{}
-			if *smoke {
-				cfg = bench.HOLSmokeConfig()
-			}
-			snap, err := bench.WriteHOLSnapshot(*jsonOut, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("hol snapshot → %s (short p99 continuous/fire %.2fx, throughput ratio %.2f, sched %.1fms + preempt %.1fms overhead)\n",
-				*jsonOut, snap.ShortP99Ratio, snap.ThroughputRatio, snap.SchedulingOverheadMs, snap.PreemptionOverheadMs)
-		case "chaos":
-			cfg := bench.ChaosBenchConfig{}
-			if *smoke {
-				cfg = bench.ChaosSmokeConfig()
-			}
-			snap, err := bench.WriteChaosSnapshot(*jsonOut, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("chaos snapshot → %s (lost with recovery %d, goodput ratio %.2f, lost without recovery %d)\n",
-				*jsonOut, snap.LostWithRecovery, snap.GoodputRatio, snap.LostNoRecovery)
-			if snap.LostWithRecovery > 0 {
-				fatal(fmt.Errorf("chaos: %d requests lost with recovery enabled (want 0)", snap.LostWithRecovery))
-			}
-		case "frontier":
-			cfg := bench.FrontierBenchConfig{}
-			if *smoke {
-				cfg = bench.FrontierSmokeConfig()
-			}
-			snap, err := bench.WriteFrontierSnapshot(*jsonOut, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			first, last := snap.Runs[0], snap.Runs[len(snap.Runs)-1]
-			fmt.Printf("frontier snapshot → %s (%d shard %.0f req/s → %d shards %.0f req/s, %.2fx)\n",
-				*jsonOut, first.Shards, first.RPS, last.Shards, last.RPS, last.Speedup)
-		case "rollout":
-			cfg := bench.RolloutBenchConfig{}
-			if *smoke {
-				cfg = bench.RolloutSmokeConfig()
-			}
-			snap, err := bench.WriteRolloutSnapshot(*jsonOut, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("rollout snapshot → %s (splitter ratio %.3f, live %s in %d windows, rollback %.0fms, %d affected, lost %d)\n",
-				*jsonOut, snap.SplitterThroughputRatio, snap.Live.Phase, snap.Live.Windows,
-				snap.Live.TimeToRollbackMs, snap.Live.RequestsAffected, snap.Live.Errors)
-			if err := rolloutGate(snap); err != nil {
-				fatal(err)
-			}
-		case "obstax":
-			cfg := bench.ObstaxBenchConfig{}
-			if *smoke {
-				cfg = bench.ObstaxSmokeConfig()
-			}
-			snap, err := bench.WriteObstaxSnapshot(*jsonOut, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("obstax snapshot → %s (sampled %.3fx of disabled, full %.3fx, coverage %.3f, exposition ok=%v)\n",
-				*jsonOut, snap.SampledRatio, snap.FullRatio, snap.Full.Coverage, snap.ExpositionOK)
-			if err := bench.ObstaxGate(snap, 0.97); err != nil {
-				fatal(err)
-			}
-		default:
-			fatal(fmt.Errorf("-json is only meaningful with -exp gateway, routing, fairness, keylocality, autoscale, hol, chaos, frontier, rollout or obstax"))
-		}
-		return
-	}
-	if *smoke {
-		switch *exp {
-		case "routing":
-			snap, err := bench.RunRoutingBench(bench.RoutingSmokeConfig())
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("routing smoke ok: gateway %.0f req/s, +affinity %.0f req/s (%.2fx, warm-hit %.1f%%)\n",
-				snap.Gateway.RPS, snap.Affinity.RPS, snap.AffinitySpeedup, 100*snap.Affinity.HotRate)
-		case "fairness":
-			snap, err := bench.RunFairnessBench(bench.FairnessSmokeConfig())
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("fairness smoke ok: light p99 solo %.1fms, fifo %.1fms, drr %.1fms (throughput drr/fifo %.2f)\n",
-				snap.LightSolo.LightP99Ms, snap.FIFO.LightP99Ms, snap.DRR.LightP99Ms, snap.ThroughputRatio)
-		case "keylocality":
-			snap, err := bench.RunKeyLocalityBench(bench.KeyLocalitySmokeConfig())
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("keylocality smoke ok: single-pair %.1fms mean / %d fetches, lru+group %.1fms / %d fetches (%.2fx)\n",
-				snap.SinglePair.MeanMs, snap.SinglePair.KeyFetches, snap.LRUGrouped.MeanMs, snap.LRUGrouped.KeyFetches, snap.MeanSpeedup)
-		case "autoscale":
-			snap, err := bench.RunAutoscaleBench(bench.AutoscaleSmokeConfig())
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("autoscale smoke ok: diurnal p99 reactive %.1fms / predictive %.1fms, %d prewarmed, steady throughput %.2f\n",
-				snap.DiurnalReactive.P99Ms, snap.DiurnalPredictive.P99Ms,
-				snap.BurstPredictive.Prewarmed+snap.DiurnalPredictive.Prewarmed, snap.SteadyThroughputRatio)
-		case "hol":
-			snap, err := bench.RunHOLBench(bench.HOLSmokeConfig())
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("hol smoke ok: short p99 fire %.1fms / continuous %.1fms (%.2fx), throughput ratio %.2f, %d preemptions\n",
-				snap.FormThenFire.ShortP99Ms, snap.Continuous.ShortP99Ms, snap.ShortP99Ratio,
-				snap.ThroughputRatio, snap.Continuous.Preemptions)
-		case "chaos":
-			snap, err := bench.RunChaosBench(bench.ChaosSmokeConfig())
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("chaos smoke: lost with recovery %d (want 0), goodput ratio %.2f, lost without recovery %d, %d retries\n",
-				snap.LostWithRecovery, snap.GoodputRatio, snap.LostNoRecovery, snap.Recovery.Retries)
-			// The smoke is a gate, not a report: seeded faults with the
-			// recovery plane armed must lose nothing.
-			if snap.LostWithRecovery > 0 {
-				fatal(fmt.Errorf("chaos: %d requests lost with recovery enabled (want 0)", snap.LostWithRecovery))
-			}
-		case "frontier":
-			snap, err := bench.RunFrontierBench(bench.FrontierSmokeConfig())
-			if err != nil {
-				fatal(err)
-			}
-			single, sharded := snap.Runs[0], snap.Runs[len(snap.Runs)-1]
-			fmt.Printf("frontier smoke: %d shard %.0f req/s, %d shards %.0f req/s (%.2fx), admit %.0f → %.0f ops/s\n",
-				single.Shards, single.RPS, sharded.Shards, sharded.RPS, sharded.Speedup,
-				snap.Contention[0].OpsPerSec, snap.Contention[len(snap.Contention)-1].OpsPerSec)
-			// The smoke is a gate: a sharded frontier that serves a hot
-			// stream SLOWER than one gateway means routing or stealing broke.
-			if sharded.RPS < single.RPS {
-				fatal(fmt.Errorf("frontier: %d-shard throughput %.0f req/s below single-shard %.0f req/s",
-					sharded.Shards, sharded.RPS, single.RPS))
-			}
-			if sharded.Errors > 0 || single.Errors > 0 {
-				fatal(fmt.Errorf("frontier: smoke run had errors (%d/%d)", single.Errors, sharded.Errors))
-			}
-		case "rollout":
-			snap, err := bench.RunRolloutBench(bench.RolloutSmokeConfig())
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("rollout smoke: live %s after %d windows (weight at breach %d%%), rollback %.0fms, %d canary requests affected, %d lost, revoked=%v\n",
-				snap.Live.Phase, snap.Live.Windows, snap.Live.WeightAtBreach,
-				snap.Live.TimeToRollbackMs, snap.Live.RequestsAffected, snap.Live.Errors, snap.Live.Revoked)
-			// The smoke is a gate: the deliberately slow canary must be
-			// auto-rolled back — drained, measurement revoked — and no
-			// request may be lost along the way.
-			if err := rolloutGate(snap); err != nil {
-				fatal(err)
-			}
-		case "obstax":
-			snap, err := bench.RunObstaxBench(bench.ObstaxSmokeConfig())
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("obstax smoke: sampled %.3fx of disabled (full %.3fx), coverage %.3f, %d traces kept, exposition ok=%v (%d bytes)\n",
-				snap.SampledRatio, snap.FullRatio, snap.Full.Coverage,
-				snap.Sampled.Kept+snap.Full.Kept, snap.ExpositionOK, snap.ExpositionBytes)
-			// The smoke is a gate: tracing that taxes the serving path or a
-			// /metrics page that doesn't parse fails CI. The overhead bar is
-			// looser than the snapshot's 0.97 claim — CI machines are noisy
-			// and the smoke workload is tiny.
-			if err := bench.ObstaxGate(snap, 0.90); err != nil {
-				fatal(err)
-			}
-		}
-		return
-	}
 
 	if *list {
 		fmt.Println("available experiments:")
@@ -317,29 +58,6 @@ func main() {
 	if err := e.Run(w); err != nil {
 		fatal(err)
 	}
-}
-
-// rolloutGate enforces the rollout experiment's hard claims: the slow
-// canary rolled back with its measurement revoked, nothing was lost on any
-// plane, and the deterministic mirror agrees.
-func rolloutGate(snap *bench.RolloutSnapshot) error {
-	if snap.Live.Phase != "rolledback" {
-		return fmt.Errorf("rollout: slow canary was not rolled back (phase %q)", snap.Live.Phase)
-	}
-	if !snap.Live.Revoked {
-		return fmt.Errorf("rollout: rollback did not revoke the canary measurement")
-	}
-	if snap.Live.Errors > 0 {
-		return fmt.Errorf("rollout: %d requests lost during the live rollback (want 0)", snap.Live.Errors)
-	}
-	if !snap.SimRollback.RolledBack || snap.SimRollback.Lost > 0 || snap.SimRollback.Dropped > 0 {
-		return fmt.Errorf("rollout: sim mirror disagrees (rolled_back=%v lost=%d dropped=%d)",
-			snap.SimRollback.RolledBack, snap.SimRollback.Lost, snap.SimRollback.Dropped)
-	}
-	if !snap.SimHealthy.Promoted {
-		return fmt.Errorf("rollout: healthy sim canary failed to promote")
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -27,7 +27,6 @@ func main() {
 	// A complete in-process deployment (KeyService, SGX2 cluster, one SeMIRT
 	// action) fronted by the batching gateway.
 	w, err := bench.NewLiveWorld(bench.LiveWorldConfig{
-		InvokeOverhead: 2 * time.Millisecond,
 		Gateway: gateway.Config{
 			MaxBatch:      8,
 			MaxWait:       2 * time.Millisecond,

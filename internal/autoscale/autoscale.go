@@ -167,8 +167,7 @@ type Stats struct {
 	Prewarmed uint64
 	// ForecastMAE is the mean absolute one-step forecast error (req/s) and
 	// MeanRate the mean observed rate, over all scored windows — their
-	// ratio is the relative forecast error the bench reports
-	// (costmodel.ForecastError is the batch-computed equivalent).
+	// ratio is the relative forecast error.
 	ForecastMAE, MeanRate float64
 }
 

@@ -2,8 +2,11 @@
 // evaluation (§VI and the appendix). Each harness regenerates the artifact's
 // rows/series — workload, parameter sweep, baselines and all — and prints
 // them in the paper's layout. cmd/sesemi-bench and the top-level
-// bench_test.go both drive this package, and EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// bench_test.go both drive this package.
+//
+// The package also hosts LiveWorld (world.go), the in-process deployment
+// that loadgen -local and examples/multitenant drive. Serving performance is
+// measured by the separate benchmark/ module, not here.
 package bench
 
 import (

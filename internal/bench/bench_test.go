@@ -11,7 +11,8 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every table and figure of the evaluation must have an experiment.
+	// The registry is exactly the paper's evaluation: every table, figure and
+	// ablation has an experiment, and nothing else does.
 	want := []string{
 		"table1", "table2", "table3", "table4",
 		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
@@ -23,8 +24,12 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %q missing", id)
 		}
 	}
-	if len(All()) < len(want) {
-		t.Errorf("registry has %d experiments, want >= %d", len(All()), len(want))
+	if len(All()) != len(want) {
+		var got []string
+		for _, e := range All() {
+			got = append(got, e.ID)
+		}
+		t.Errorf("registry has %d experiments %v, want exactly the %d paper artefacts", len(got), got, len(want))
 	}
 }
 

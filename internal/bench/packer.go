@@ -197,7 +197,7 @@ func runTable4(w io.Writer) error {
 	return nil
 }
 
-// ---------- Ablations (DESIGN.md §6) ----------
+// ---------- Ablations ----------
 
 // AblationExclusiveInterval sweeps FnPacker's exclusivity interval and
 // reports the Poisson-stream average latency at each setting.

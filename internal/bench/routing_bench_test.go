@@ -51,8 +51,7 @@ func newContentionCluster(b *testing.B, nodes, sandboxesPerNode, concurrency int
 // client count grows. A scheduler serialized behind one cluster-wide mutex
 // plateaus (or degrades) past a handful of clients; the sharded scheduler with
 // the lock-free ready fast path should keep scaling until the machine runs out
-// of cores. Run with -benchtime=1x in CI as a smoke test; run longer locally
-// for numbers.
+// of cores. Run with -benchtime=1x for a quick check; run longer for numbers.
 func BenchmarkRoutingContention(b *testing.B) {
 	const perClient = 2000
 	for _, clients := range []int{1, 4, 16, 64, 256} {
@@ -90,45 +89,5 @@ func BenchmarkRoutingContention(b *testing.B) {
 			b.ReportMetric(total/b.Elapsed().Seconds(), "invokes/s")
 			b.ReportMetric(0, "ns/op") // invokes/s is the meaningful metric
 		})
-	}
-}
-
-// TestAffinityRoutingSpeedup is the acceptance gate for locality-aware batch
-// routing: on a 4-node / 4-model deployment the affinity gateway must deliver
-// at least 1.3x the requests/sec of the affinity-less gateway, with a
-// warm-hit rate of at least 80%. (The committed BENCH_routing.json records
-// ~4.6x and ~99.8% at the full 256-client scale; the gate runs a smaller
-// configuration to stay fast.)
-func TestAffinityRoutingSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live timing comparison")
-	}
-	if raceEnabled {
-		t.Skip("race-detector overhead dwarfs the modeled activation costs")
-	}
-	cfg := RoutingBenchConfig{Clients: 64, PerClient: 8}
-	snap, err := RunRoutingBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.AffinitySpeedup < 1.3 {
-		// Wall-clock comparison on a possibly loaded machine: one retry
-		// before failing (typical speedup is 3-5x, so a genuine regression
-		// still fails).
-		t.Logf("affinity speedup %.2fx below gate; retrying once", snap.AffinitySpeedup)
-		if snap, err = RunRoutingBench(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Logf("gateway %.0f req/s, +affinity %.0f req/s, %.2fx (warm-hit %.1f%%, %d rehomes)",
-		snap.Gateway.RPS, snap.Affinity.RPS, snap.AffinitySpeedup, 100*snap.Affinity.HotRate, snap.Affinity.Rehomes)
-	if snap.Gateway.Errors != 0 || snap.Affinity.Errors != 0 {
-		t.Fatalf("errors: gateway %d affinity %d", snap.Gateway.Errors, snap.Affinity.Errors)
-	}
-	if snap.AffinitySpeedup < 1.3 {
-		t.Fatalf("affinity speedup %.2fx < 1.3x", snap.AffinitySpeedup)
-	}
-	if snap.Affinity.HotRate < 0.8 {
-		t.Fatalf("warm-hit rate %.2f < 0.8", snap.Affinity.HotRate)
 	}
 }

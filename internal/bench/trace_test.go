@@ -10,8 +10,7 @@ import (
 )
 
 // A fully-sampled world must stitch every hop's spans into one trace per
-// request whose top-level stages tile the end-to-end latency — the 5%
-// coverage bar the obstax experiment gates, asserted here at test scale.
+// request whose top-level stages tile the end-to-end latency within 5%.
 func TestStitchedTraceCoverage(t *testing.T) {
 	w, err := NewLiveWorld(LiveWorldConfig{
 		TraceSample: 1,

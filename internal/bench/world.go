@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -37,8 +35,8 @@ import (
 
 // LiveWorld is a complete in-process SeSeMI deployment — KeyService over
 // loopback TCP, a serverless cluster of SGX2 platforms running SeMIRT
-// actions, and a serving gateway in front — used by the gateway and routing
-// experiments, the gateway benchmarks, and loadgen's -local mode.
+// actions, and a serving gateway in front — used by loadgen's -local mode,
+// examples/multitenant and this package's behavioural tests.
 type LiveWorld struct {
 	Cluster *serverless.Cluster
 	Gateway *gateway.Gateway
@@ -62,21 +60,17 @@ type LiveWorld struct {
 	// state when consecutive requests target different models.
 	Models []string
 
-	// reqKeys and userID are user 0's credentials (the single-user surface
-	// every pre-keylocality experiment drives).
-	reqKeys map[string]secure.Key
-	userID  secure.ID
 	// userIDs and userKeys hold every deployed user principal's identity and
 	// per-model request keys (LiveWorldConfig.Users of them; index 0 is the
-	// legacy single user).
+	// default user).
 	userIDs  []secure.ID
 	userKeys []map[string]secure.Key
 	shape    []int
 	closers  []func()
 
 	// rtMu/runtimes track every SeMIRT runtime the cluster instantiated, so
-	// experiments can aggregate enclave-level counters (key fetches) that
-	// never cross the activation wire.
+	// enclave-level counters (key fetches, session frames) that never cross
+	// the activation wire can be aggregated.
 	rtMu     sync.Mutex
 	runtimes []*semirt.Runtime
 }
@@ -95,34 +89,24 @@ type LiveWorldConfig struct {
 	// …) with their own keys and blobs, so a multi-model serving mix is real:
 	// an enclave switching models pays decrypt + load + runtime init.
 	Models int
-	// ModelPadBytes, when positive, pads every deployed model blob to this
-	// serialized size, making the model-swap penalty (and therefore routing
-	// locality) proportional to a configurable model size.
-	ModelPadBytes int
 	// ExtraModels deploys additional model ids identically to the clones —
-	// each with its own keys, blob and grants. The rollout experiment uses
-	// it to deploy a canary revision ("mbnet@v2") alongside its stable base.
+	// each with its own keys, blob and grants (e.g. a canary revision
+	// "mbnet@v2" alongside its stable base).
 	ExtraModels []string
 	// Users is how many user principals to register and grant on every
 	// model (default 1). Each gets its own request keys, so a user-diverse
 	// stream exercises the enclave's key cache for real: serving a user not
 	// resident in the cache pays a KeyService provisioning round trip.
 	Users int
-	// KeyFetchCost, when positive, charges the modeled key provisioning
-	// latency (cold and warm alike) on the platform's wall clock, making the
-	// key-fetch path cost what the paper measures instead of a bare loopback
-	// round trip. It also unmutes the platform clock, so modeled enclave
-	// launch/attestation sleeps apply to cold paths.
-	KeyFetchCost time.Duration
 	// ExecCost, when positive, charges a modeled model-execution latency per
-	// request on the platform clock (which it unmutes, like KeyFetchCost) —
-	// so batches occupy sandbox slots for realistic service times and warm
-	// capacity is genuinely scarce at load (the autoscale experiment's
-	// pressure source).
+	// request on the platform clock (which it unmutes, so modeled enclave
+	// launch/attestation sleeps apply to cold paths too) — so batches occupy
+	// sandbox slots for realistic service times and warm capacity is
+	// genuinely scarce at load.
 	ExecCost time.Duration
 	// SandboxStart is the modeled container start latency charged on the
-	// cluster clock (0 = free starts, the historical bench behaviour). The
-	// cost every cold start pays and prewarming hides.
+	// cluster clock (0 = free starts). The cost every cold start pays and
+	// prewarming hides.
 	SandboxStart time.Duration
 	// KeepWarm overrides the cluster's idle-sandbox deadline (0 = the
 	// 3-minute paper default).
@@ -133,8 +117,8 @@ type LiveWorldConfig struct {
 	ReaperInterval time.Duration
 	// StartEnclave launches each runtime's enclave inside the sandbox start
 	// (semirt.Runtime.Start) instead of lazily on the first request — the
-	// OpenWhisk prewarm semantics the autoscale experiment measures, where
-	// a prewarmed sandbox serves its first request warm, not cold.
+	// OpenWhisk prewarm semantics, where a prewarmed sandbox serves its first
+	// request warm, not cold.
 	StartEnclave bool
 	// Autoscale, when non-nil, wires a predictive autoscale.Controller
 	// between the gateway and the cluster (gateway.Config.Autoscaler is set
@@ -143,17 +127,10 @@ type LiveWorldConfig struct {
 	// KeyCacheSize sets semirt.Config.KeyCacheSize (0 = the live default,
 	// 1 = the historical single-pair cache).
 	KeyCacheSize int
-	// DisableKeyCache sets semirt.Config.DisableKeyCache.
-	DisableKeyCache bool
-	// InvokeOverhead is the modeled per-activation platform overhead charged
-	// on the wall clock while a request holds its slot (default 2 ms — the
-	// controller/invoker/action-proxy hop of an OpenWhisk activation, which
-	// batching amortizes).
-	InvokeOverhead time.Duration
 	// Faults, when non-nil, wires the fault-injection plane into both layers
 	// of the deployment: the cluster consults it per node dispatch
 	// (serverless.Config.Faults) and every SeMIRT runtime per activation
-	// (semirt.Deps.Faults). The chaos experiment drives it mid-run.
+	// (semirt.Deps.Faults).
 	Faults *faults.Injector
 	// KSRetries / KSRetryBackoff / KSBrownout pass through to semirt.Deps:
 	// the runtime-side key-service retry budget and brownout window.
@@ -169,12 +146,16 @@ type LiveWorldConfig struct {
 	// Gateway tunes the front-end; zero values take gateway defaults.
 	Gateway gateway.Config
 	// Shards, when > 1, additionally builds a sharded frontier
-	// (internal/frontier) of that many gateway shards over the same cluster;
-	// FrontierConfig tunes its routing/spill/steal knobs (the embedded
-	// gateway.Config and Shards are filled from this struct).
-	Shards         int
-	FrontierConfig frontier.Config
+	// (internal/frontier) of that many gateway shards over the same cluster,
+	// each configured from Gateway.
+	Shards int
 }
+
+// invokeOverhead is the modeled per-activation platform overhead charged on
+// the wall clock while a request holds its slot — the
+// controller/invoker/action-proxy hop of an OpenWhisk activation, which
+// batching amortizes.
+const invokeOverhead = 2 * time.Millisecond
 
 // NewLiveWorld builds the deployment, deploys one functional mbnet model and
 // one action, and warms one sandbox.
@@ -187,9 +168,6 @@ func NewLiveWorld(cfg LiveWorldConfig) (*LiveWorld, error) {
 	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 4
-	}
-	if cfg.InvokeOverhead == 0 {
-		cfg.InvokeOverhead = 2 * time.Millisecond
 	}
 	if cfg.Models <= 0 {
 		cfg.Models = 1
@@ -213,13 +191,11 @@ func NewLiveWorld(cfg LiveWorldConfig) (*LiveWorld, error) {
 		return fail(err)
 	}
 	// Platform sleeps are disabled (Scale 0): modeled TEE latencies are not
-	// the subject here. The cluster clock runs at Scale 1 so InvokeOverhead
-	// is charged for real — it is what the gateway amortizes. The
-	// keylocality experiment instead charges the modeled key-fetch cost
-	// (KeyFetchCost) and the autoscale experiment the modeled execution
-	// cost (ExecCost), which need the platform clock live.
+	// the subject here. The cluster clock runs at Scale 1 so the activation
+	// overhead is charged for real — it is what the gateway amortizes. A
+	// modeled execution cost (ExecCost) needs the platform clock live.
 	platClock := vclock.Real{Scale: 0}
-	if cfg.KeyFetchCost > 0 || cfg.ExecCost > 0 {
+	if cfg.ExecCost > 0 {
 		platClock = vclock.Real{Scale: 1}
 	}
 
@@ -267,96 +243,33 @@ func NewLiveWorld(cfg LiveWorldConfig) (*LiveWorld, error) {
 	if cfg.KeepWarm > 0 {
 		ccfg.KeepWarm = cfg.KeepWarm
 	}
-	ccfg.InvokeOverhead = cfg.InvokeOverhead
+	ccfg.InvokeOverhead = invokeOverhead
 	w.Cluster = serverless.NewCluster(ccfg, nodes...)
 	w.closers = append(w.closers, w.Cluster.Close)
 
-	// Principals, model, grants. User 0 keeps the historical "bench-user"
-	// seed; additional principals (a multi-user serving mix) get their own
-	// long-term keys and per-model request keys.
-	dial := keyservice.TCPDialer(ksAddr)
-	owner := keyservice.NewClient(dial, ca.PublicKey(), ksEnc.Measurement(), secure.KeyFromSeed("bench-owner"))
-	w.closers = append(w.closers, func() { owner.Close() })
-	if err := owner.Register(); err != nil {
-		return fail(err)
-	}
-	var users []*keyservice.Client
-	for u := 0; u < cfg.Users; u++ {
-		seed := "bench-user"
-		if u > 0 {
-			seed = fmt.Sprintf("bench-user-%d", u)
-		}
-		uc := keyservice.NewClient(dial, ca.PublicKey(), ksEnc.Measurement(), secure.KeyFromSeed(seed))
-		w.closers = append(w.closers, func() { uc.Close() })
-		if err := uc.Register(); err != nil {
-			return fail(err)
-		}
-		users = append(users, uc)
-		w.userIDs = append(w.userIDs, uc.ID())
-		w.userKeys = append(w.userKeys, map[string]secure.Key{})
-	}
 	scfg, err := semirt.DefaultConfig("tvm", w.Model, cfg.Concurrency)
 	if err != nil {
 		return fail(err)
 	}
 	scfg.KeyCacheSize = cfg.KeyCacheSize
-	scfg.DisableKeyCache = cfg.DisableKeyCache
-	if cfg.KeyFetchCost > 0 || cfg.ExecCost > 0 {
-		scfg.ModeledStages = &costmodel.StageCosts{
-			KeyFetchCold: cfg.KeyFetchCost,
-			KeyFetchWarm: cfg.KeyFetchCost,
-			ModelExec:    cfg.ExecCost,
-		}
+	if cfg.ExecCost > 0 {
+		scfg.ModeledStages = &costmodel.StageCosts{ModelExec: cfg.ExecCost}
 	}
 	m, err := model.NewFunctional(w.Model)
 	if err != nil {
 		return fail(err)
-	}
-	if cfg.ModelPadBytes > 0 {
-		if err := model.PadToSize(m, cfg.ModelPadBytes); err != nil {
-			return fail(err)
-		}
 	}
 	w.shape = m.InputShape
 	data, err := model.Marshal(m)
 	if err != nil {
 		return fail(err)
 	}
-	es := scfg.Manifest().Measure()
-	w.userID = users[0].ID()
-	// Every model id is the same functional network under its own keys and
-	// blob — what matters to the serving stack is that they are distinct
-	// models: an enclave switching between them refetches keys, re-decrypts
-	// and reloads. Every user principal is granted on every model with its
-	// own request key, so a user flip is a genuinely different key pair.
-	for _, id := range w.Models {
-		km := secure.KeyFromSeed("bench-km-" + id)
-		ct, err := semirt.EncryptModel(km, id, data)
-		if err != nil {
-			return fail(err)
-		}
-		if err := store.Put(semirt.ModelBlobName(id), ct); err != nil {
-			return fail(err)
-		}
-		if err := owner.AddModelKey(id, km); err != nil {
-			return fail(err)
-		}
-		for u, uc := range users {
-			if err := owner.GrantAccess(id, es, uc.ID()); err != nil {
-				return fail(err)
-			}
-			seed := "bench-kr-" + id
-			if u > 0 {
-				seed = fmt.Sprintf("bench-kr-%s-u%d", id, u)
-			}
-			kr := secure.KeyFromSeed(seed)
-			if err := uc.AddReqKey(id, es, kr); err != nil {
-				return fail(err)
-			}
-			w.userKeys[u][id] = kr
-		}
+	newClient := func(key secure.Key) *keyservice.Client {
+		return keyservice.NewClient(keyservice.TCPDialer(ksAddr), ca.PublicKey(), ksEnc.Measurement(), key)
 	}
-	w.reqKeys = w.userKeys[0]
+	if err := w.provision(newClient, scfg.Manifest().Measure(), store, data, cfg.Users); err != nil {
+		return fail(err)
+	}
 
 	err = w.Cluster.Deploy(&serverless.Action{
 		Name:         w.Action,
@@ -414,10 +327,7 @@ func NewLiveWorld(cfg LiveWorldConfig) (*LiveWorld, error) {
 	w.Gateway = gateway.New(cfg.Gateway, w.Cluster)
 	w.closers = append(w.closers, w.Gateway.Close)
 	if cfg.Shards > 1 {
-		fcfg := cfg.FrontierConfig
-		fcfg.Config = cfg.Gateway
-		fcfg.Shards = cfg.Shards
-		w.Frontier = frontier.New(fcfg, w.Cluster)
+		w.Frontier = frontier.New(frontier.Config{Config: cfg.Gateway, Shards: cfg.Shards}, w.Cluster)
 		w.closers = append(w.closers, w.Frontier.Close)
 	}
 	w.Registry = obs.NewRegistry()
@@ -436,6 +346,74 @@ func NewLiveWorld(cfg LiveWorldConfig) (*LiveWorld, error) {
 	return w, nil
 }
 
+// provision deposits every model blob, model key, grant and request key.
+// Every model id is the same functional network under its own keys and blob
+// — what matters to the serving stack is that they are distinct models: an
+// enclave switching between them refetches keys, re-decrypts and reloads.
+// Every user principal is granted on every model with its own request key,
+// so a user flip is a genuinely different key pair.
+//
+// Each client is closed as soon as its principal is set up: a KeyService
+// connection pins one of the enclave's TCSs until it closes, so holding one
+// per user would wedge provisioning once the users outnumber the TCSs.
+func (w *LiveWorld) provision(newClient func(secure.Key) *keyservice.Client, es attest.Measurement,
+	store storage.Store, data []byte, users int) error {
+	owner := newClient(secure.KeyFromSeed("bench-owner"))
+	defer owner.Close()
+	if err := owner.Register(); err != nil {
+		return err
+	}
+	for _, id := range w.Models {
+		km := secure.KeyFromSeed("bench-km-" + id)
+		ct, err := semirt.EncryptModel(km, id, data)
+		if err != nil {
+			return err
+		}
+		if err := store.Put(semirt.ModelBlobName(id), ct); err != nil {
+			return err
+		}
+		if err := owner.AddModelKey(id, km); err != nil {
+			return err
+		}
+	}
+	for u := 0; u < users; u++ {
+		// User 0 keeps the historical "bench-user" seeds.
+		seed, krSuffix := "bench-user", ""
+		if u > 0 {
+			seed, krSuffix = fmt.Sprintf("bench-user-%d", u), fmt.Sprintf("-u%d", u)
+		}
+		keys, id, err := w.provisionUser(newClient(secure.KeyFromSeed(seed)), owner, es, krSuffix)
+		if err != nil {
+			return err
+		}
+		w.userIDs = append(w.userIDs, id)
+		w.userKeys = append(w.userKeys, keys)
+	}
+	return nil
+}
+
+// provisionUser registers user client uc, has the owner grant it on every
+// model, and deposits its per-model request keys, then closes uc.
+func (w *LiveWorld) provisionUser(uc, owner *keyservice.Client, es attest.Measurement,
+	krSuffix string) (map[string]secure.Key, secure.ID, error) {
+	defer uc.Close()
+	if err := uc.Register(); err != nil {
+		return nil, "", err
+	}
+	keys := map[string]secure.Key{}
+	for _, id := range w.Models {
+		if err := owner.GrantAccess(id, es, uc.ID()); err != nil {
+			return nil, "", err
+		}
+		kr := secure.KeyFromSeed("bench-kr-" + id + krSuffix)
+		if err := uc.AddReqKey(id, es, kr); err != nil {
+			return nil, "", err
+		}
+		keys[id] = kr
+	}
+	return keys, uc.ID(), nil
+}
+
 // Request builds one encrypted request for the default model (seed varies
 // the input tensor).
 func (w *LiveWorld) Request(seed int) (semirt.Request, error) {
@@ -447,9 +425,6 @@ func (w *LiveWorld) Request(seed int) (semirt.Request, error) {
 func (w *LiveWorld) RequestFor(modelID string, seed int) (semirt.Request, error) {
 	return w.RequestForUser(0, modelID, seed)
 }
-
-// Users returns the number of deployed user principals.
-func (w *LiveWorld) Users() int { return len(w.userIDs) }
 
 // RequestForUser builds one encrypted request for a deployed model id under
 // user u's request key.
@@ -507,8 +482,7 @@ func (w *LiveWorld) KeyFetches() uint64 {
 // SessionStats sums the continuous-batching counters across every SeMIRT
 // runtime the world's cluster instantiated: scheduling frames executed
 // (enclave re-entries a continuous session pays per step) and members
-// preempted at a step boundary. Both feed the BLIS-style overhead
-// decomposition in the HOL snapshot.
+// preempted at a step boundary.
 func (w *LiveWorld) SessionStats() (steps, preempted uint64) {
 	w.rtMu.Lock()
 	defer w.rtMu.Unlock()
@@ -520,15 +494,10 @@ func (w *LiveWorld) SessionStats() (steps, preempted uint64) {
 	return steps, preempted
 }
 
-// DoDirect sends one request straight through Cluster.Invoke (the unbatched
-// baseline path).
+// DoDirect sends one request for the default model straight through
+// Cluster.Invoke (the unbatched path).
 func (w *LiveWorld) DoDirect(ctx context.Context, seed int) (semirt.Response, error) {
-	return w.DoDirectFor(ctx, w.Model, seed)
-}
-
-// DoDirectFor is DoDirect for a specific model id.
-func (w *LiveWorld) DoDirectFor(ctx context.Context, modelID string, seed int) (semirt.Response, error) {
-	req, err := w.RequestFor(modelID, seed)
+	req, err := w.Request(seed)
 	if err != nil {
 		return semirt.Response{}, err
 	}
@@ -561,24 +530,6 @@ func (w *LiveWorld) DoGatewayFor(ctx context.Context, modelID string, seed int) 
 	return w.Gateway.Do(ctx, w.Action, req)
 }
 
-// DoGatewayAs sends one request through the gateway under a serving API v2
-// envelope: tenant-attributed, with an optional deadline. An empty tenant
-// rides the default tenant (the FIFO-equivalent baseline the fairness
-// experiment measures against).
-func (w *LiveWorld) DoGatewayAs(ctx context.Context, tenant string, deadline time.Time, seed int) (semirt.Response, error) {
-	req, err := w.Request(seed)
-	if err != nil {
-		return semirt.Response{}, err
-	}
-	tk, err := w.Gateway.Submit(ctx, gateway.Request{
-		Action: w.Action, Tenant: tenant, Deadline: deadline, Body: req,
-	})
-	if err != nil {
-		return semirt.Response{}, err
-	}
-	return tk.Wait(ctx)
-}
-
 // DoFrontierAs sends one request through the sharded frontier under a
 // tenant: the frontier routes it by (action, model, tenant) to its home
 // shard, spilling on overload. Requires LiveWorldConfig.Shards > 1.
@@ -598,7 +549,7 @@ func (w *LiveWorld) DoFrontierAs(ctx context.Context, tenant, modelID string, se
 
 // Decrypt opens a response payload for the default model.
 func (w *LiveWorld) Decrypt(resp semirt.Response) ([]byte, error) {
-	return semirt.DecryptResponse(w.reqKeys[w.Model], w.Model, resp.Payload)
+	return semirt.DecryptResponse(w.userKeys[0][w.Model], w.Model, resp.Payload)
 }
 
 // Close tears the deployment down.
@@ -609,71 +560,24 @@ func (w *LiveWorld) Close() {
 	w.closers = nil
 }
 
-// ---------- Gateway experiment: batched vs unbatched serving ----------
+// ---------- Load generation ----------
 
-// GatewayRunResult is one access path's measured outcome.
+// GatewayRunResult is one closed-loop run's measured outcome.
 type GatewayRunResult struct {
-	Mode      string  `json:"mode"`
-	Requests  int     `json:"requests"`
-	Errors    int     `json:"errors"`
-	Seconds   float64 `json:"seconds"`
-	RPS       float64 `json:"rps"`
-	MeanMs    float64 `json:"mean_ms"`
-	P50Ms     float64 `json:"p50_ms"`
-	P95Ms     float64 `json:"p95_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-	Batches   uint64  `json:"batches,omitempty"`
-	MeanBatch float64 `json:"mean_batch,omitempty"`
-}
-
-// GatewaySnapshot is the BENCH_gateway.json payload: the serving-path
-// comparison that seeds the repo's performance trajectory.
-type GatewaySnapshot struct {
-	Clients        int              `json:"clients"`
-	PerClient      int              `json:"requests_per_client"`
-	MaxBatch       int              `json:"max_batch"`
-	InvokeOverhead string           `json:"invoke_overhead"`
-	Unbatched      GatewayRunResult `json:"unbatched"`
-	Batched        GatewayRunResult `json:"batched"`
-	Speedup        float64          `json:"speedup"`
-	// EstimatedFormationMs is costmodel.BatchFormationDelay at the measured
-	// offered rate — the sim-side estimate the measurement is compared to.
-	EstimatedFormationMs float64 `json:"estimated_formation_ms"`
-}
-
-// GatewayBenchConfig sizes the comparison run.
-type GatewayBenchConfig struct {
-	// Clients is the closed-loop client count (default 64).
-	Clients int
-	// PerClient is requests per client (default 16).
-	PerClient int
-	// MaxBatch is the gateway batch bound (default 8).
-	MaxBatch int
-	// InvokeOverhead overrides the live world's default when positive.
-	InvokeOverhead time.Duration
-}
-
-func (c *GatewayBenchConfig) defaults() {
-	if c.Clients <= 0 {
-		c.Clients = 64
-	}
-	if c.PerClient <= 0 {
-		c.PerClient = 16
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.InvokeOverhead <= 0 {
-		// Conservative stand-in for the measured OpenWhisk activation path
-		// (≈10-30 ms in production deployments).
-		c.InvokeOverhead = 5 * time.Millisecond
-	}
+	Mode     string
+	Requests int
+	Errors   int
+	Seconds  float64
+	RPS      float64
+	MeanMs   float64
+	P50Ms    float64
+	P95Ms    float64
+	P99Ms    float64
 }
 
 // ClosedLoop drives clients×perClient requests through do (closed loop:
 // each client issues its next request as soon as the previous returns) and
-// aggregates throughput and latency. loadgen -local and the gateway
-// experiment share it.
+// aggregates throughput and latency.
 func ClosedLoop(mode string, clients, perClient int, do func(ctx context.Context, seed int) (semirt.Response, error)) GatewayRunResult {
 	var lat metrics.Latency
 	var mu sync.Mutex
@@ -713,104 +617,6 @@ func ClosedLoop(mode string, clients, perClient int, do func(ctx context.Context
 		P95Ms:    float64(s.P95) / 1e6,
 		P99Ms:    float64(s.P99) / 1e6,
 	}
-}
-
-// RunGatewayBench measures unbatched Cluster.Invoke against the batching
-// gateway on the same live deployment and returns the comparison.
-func RunGatewayBench(cfg GatewayBenchConfig) (*GatewaySnapshot, error) {
-	cfg.defaults()
-	build := func() (*LiveWorld, error) {
-		return NewLiveWorld(LiveWorldConfig{
-			InvokeOverhead: cfg.InvokeOverhead,
-			Gateway: gateway.Config{
-				MaxBatch:     cfg.MaxBatch,
-				MaxWait:      4 * time.Millisecond,
-				MaxQueue:     4096,
-				MaxInFlight:  8,
-				PrewarmDepth: 32,
-			},
-		})
-	}
-	// Separate worlds per mode so sandbox state from one run cannot warm the
-	// other's.
-	wu, err := build()
-	if err != nil {
-		return nil, err
-	}
-	unbatched := ClosedLoop("unbatched", cfg.Clients, cfg.PerClient, wu.DoDirect)
-	wu.Close()
-
-	wb, err := build()
-	if err != nil {
-		return nil, err
-	}
-	batched := ClosedLoop("gateway", cfg.Clients, cfg.PerClient, wb.DoGateway)
-	gwStats := wb.Gateway.Stats()
-	gwMetrics := wb.Gateway.Metrics()
-	batched.Batches = gwStats.Batches
-	batched.MeanBatch = gwMetrics.BatchSizes.Mean()
-	wb.Close()
-
-	speedup := 0.0 // 0 signals "no valid baseline" (keeps the JSON finite)
-	if unbatched.RPS > 0 {
-		speedup = batched.RPS / unbatched.RPS
-	}
-	snap := &GatewaySnapshot{
-		Clients:        cfg.Clients,
-		PerClient:      cfg.PerClient,
-		MaxBatch:       cfg.MaxBatch,
-		InvokeOverhead: cfg.InvokeOverhead.String(),
-		Unbatched:      unbatched,
-		Batched:        batched,
-		Speedup:        speedup,
-		EstimatedFormationMs: float64(costmodel.BatchFormationDelay(
-			batched.RPS, cfg.MaxBatch, 4*time.Millisecond)) / 1e6,
-	}
-	return snap, nil
-}
-
-// WriteGatewaySnapshot runs the comparison and writes BENCH_gateway.json.
-func WriteGatewaySnapshot(path string, cfg GatewayBenchConfig) (*GatewaySnapshot, error) {
-	snap, err := RunGatewayBench(cfg)
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return snap, os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func printGatewayRun(w io.Writer, r GatewayRunResult) {
-	fmt.Fprintf(w, "%-10s %6d req %4d err %8.0f req/s  mean %6.1fms  p50 %6.1fms  p95 %6.1fms  p99 %6.1fms",
-		r.Mode, r.Requests, r.Errors, r.RPS, r.MeanMs, r.P50Ms, r.P95Ms, r.P99Ms)
-	if r.Batches > 0 {
-		fmt.Fprintf(w, "  (%d batches, mean %.1f)", r.Batches, r.MeanBatch)
-	}
-	fmt.Fprintln(w)
-}
-
-func runGatewayExperiment(w io.Writer) error {
-	header(w, "Gateway: batched vs unbatched serving (64 closed-loop clients)")
-	snap, err := RunGatewayBench(GatewayBenchConfig{})
-	if err != nil {
-		return err
-	}
-	printGatewayRun(w, snap.Unbatched)
-	printGatewayRun(w, snap.Batched)
-	fmt.Fprintf(w, "speedup: %.2fx (MaxBatch=%d, per-activation overhead %s)\n",
-		snap.Speedup, snap.MaxBatch, snap.InvokeOverhead)
-	fmt.Fprintf(w, "batch formation estimate at measured rate: %.2f ms\n", snap.EstimatedFormationMs)
-	return nil
-}
-
-func init() {
-	register(Experiment{
-		ID:    "gateway",
-		Title: "Gateway: per-model batching vs direct Cluster.Invoke",
-		Run:   runGatewayExperiment,
-	})
 }
 
 // OpenLoopGateway replays a workload trace against the live world's gateway

@@ -19,7 +19,6 @@ package costmodel
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"sesemi/internal/model"
@@ -281,221 +280,6 @@ func BatchFormationDelay(rate float64, maxBatch int, maxWait time.Duration) time
 	return time.Duration(mean * float64(time.Second))
 }
 
-// WarmHitRate estimates the steady-state probability that a request (or
-// batch) finds a warm sandbox of its model. With Poisson arrivals at rate
-// per second on one (action, model) stream, a sandbox stays warm when the
-// next arrival that can reuse it lands within the keep-warm window.
-// Indiscriminate placement spreads the stream over `spread` nodes, dividing
-// the per-node arrival rate — the analytic form of why sticky affinity
-// routing (spread 1) keeps enclaves hot that round-robin placement lets
-// expire:
-//
-//	P(warm) = 1 - exp(-rate * keepWarm / spread)
-//
-// spread < 1 is treated as 1.
-func WarmHitRate(rate float64, keepWarm time.Duration, spread int) float64 {
-	if rate <= 0 || keepWarm <= 0 {
-		return 0
-	}
-	if spread < 1 {
-		spread = 1
-	}
-	return 1 - math.Exp(-rate*keepWarm.Seconds()/float64(spread))
-}
-
-// ColdStartAmortization estimates the mean per-request share of cold-start
-// cost under batched serving: a miss (1 - WarmHitRate) pays coldCost once,
-// and the batch that triggered it carries up to maxBatch requests, so the
-// per-request charge is miss * coldCost / maxBatch. Together with
-// BatchFormationDelay this lets the simulator and the live gateway report
-// comparable E2E decompositions.
-func ColdStartAmortization(rate float64, keepWarm, coldCost time.Duration, spread, maxBatch int) time.Duration {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	miss := 1 - WarmHitRate(rate, keepWarm, spread)
-	return time.Duration(miss * float64(coldCost) / float64(maxBatch))
-}
-
-// KeyCacheHitRate estimates the steady-state probability that a request
-// finds its principal's key pair resident in an LRU key cache of cacheSize
-// entries, with requests drawn uniformly from `users` distinct principals
-// on one model. Under the independent-reference model, LRU holds the
-// cacheSize most recent principals, each equally likely to be re-requested:
-//
-//	P(hit) = min(1, cacheSize/users)
-//
-// cacheSize >= users means every principal stays resident (the LRU serving
-// path); cacheSize 1 is the historical single-pair cache, whose hit rate
-// collapses as the user population grows — the analytic form of why
-// user-diverse batches refetch keys on almost every flip. Skewed (Zipf)
-// populations hit strictly more often than this uniform bound, so it is the
-// conservative estimate the keylocality experiment compares against.
-// Non-positive users or cacheSize returns 0.
-func KeyCacheHitRate(users, cacheSize int) float64 {
-	if users <= 0 || cacheSize <= 0 {
-		return 0
-	}
-	if cacheSize >= users {
-		return 1
-	}
-	return float64(cacheSize) / float64(users)
-}
-
-// ExpectedKeySwitches estimates the key provisioning round trips one batch
-// costs in steady state: `batch` members drawn uniformly from `users`
-// principals, served grouped into per-principal runs (HandleBatch's tag
-// ordering), against an LRU key cache of cacheSize entries. Each distinct
-// principal in the batch misses with the complement of KeyCacheHitRate:
-//
-//	E[switches] = E[distinct] · (1 − hit)
-//	E[distinct] = users · (1 − (1 − 1/users)^batch)
-//
-// With the cache disabled (cacheSize <= 0) every member provisions: the
-// estimate is the batch size. Non-positive batch or users returns 0.
-func ExpectedKeySwitches(batch, users, cacheSize int) float64 {
-	if batch <= 0 || users <= 0 {
-		return 0
-	}
-	if cacheSize <= 0 {
-		return float64(batch)
-	}
-	distinct := float64(users) * (1 - math.Pow(1-1/float64(users), float64(batch)))
-	return distinct * (1 - KeyCacheHitRate(users, cacheSize))
-}
-
-// ForecastError scores an arrival-rate forecaster: the mean absolute
-// one-step error between per-window forecasts and the rates actually
-// observed, normalized by the mean observed rate (a relative error — 0 is a
-// perfect forecast, 1 means the error is as large as the signal). Series are
-// compared pairwise up to the shorter length; an empty overlap or an
-// all-zero actual series returns 0 (no score).
-func ForecastError(actual, forecast []float64) float64 {
-	n := len(actual)
-	if len(forecast) < n {
-		n = len(forecast)
-	}
-	if n == 0 {
-		return 0
-	}
-	var absErr, sum float64
-	for i := 0; i < n; i++ {
-		absErr += math.Abs(actual[i] - forecast[i])
-		sum += actual[i]
-	}
-	if sum <= 0 {
-		return 0
-	}
-	return absErr / sum
-}
-
-// IdleSandboxSeconds estimates the idle sandbox-seconds a warm pool accrues
-// per second of steady traffic: each of the pool's sandboxes sees a
-// per-sandbox Poisson rate of rate/pool, idles E[min(gap, keepWarm)] between
-// consecutive uses, and gaps recur at that same rate, so its idle fraction is
-// 1 − exp(−(rate/pool)·keepWarm) — the warm-hit form again, because a
-// sandbox is idle-but-alive exactly when its next use arrives inside the
-// keep-warm window. Multiplying by pool gives the fleet-wide accrual rate:
-// the enclave-memory squatting a telemetry-driven scale-down (shrinking the
-// effective keepWarm) reduces, and what BENCH_autoscale's idle_sandbox_
-// seconds column measures. Non-positive inputs return 0.
-func IdleSandboxSeconds(pool int, rate float64, keepWarm time.Duration) float64 {
-	if pool <= 0 || rate <= 0 || keepWarm <= 0 {
-		return 0
-	}
-	perSandbox := rate / float64(pool)
-	return float64(pool) * (1 - math.Exp(-perSandbox*keepWarm.Seconds()))
-}
-
-// ColdStartsAvoided estimates the cold starts a predictive prewarm converts
-// into warm hits at one rate step: a reactive controller provisions only
-// after demand arrives, so every requests that lands during the
-// sandbox-start window of a rateStep (req/s) increase queues cold — one
-// cold start per batch of slotsPerSandbox requests — while a forecaster
-// that prewarmed ahead of the step serves them warm:
-//
-//	avoided ≈ rateStep · sandboxStart / slotsPerSandbox
-//
-// Summed over a trace's ramps this is the analytic counterpart of the
-// measured cold-start gap between the reactive and predictive controllers.
-// Non-positive inputs return 0.
-func ColdStartsAvoided(rateStep float64, sandboxStart time.Duration, slotsPerSandbox int) float64 {
-	if rateStep <= 0 || sandboxStart <= 0 {
-		return 0
-	}
-	if slotsPerSandbox < 1 {
-		slotsPerSandbox = 1
-	}
-	return rateStep * sandboxStart.Seconds() / float64(slotsPerSandbox)
-}
-
-// JainFairnessIndex returns Jain's fairness index over per-tenant
-// allocations (throughput, served counts, …):
-//
-//	J = (Σx)² / (n · Σx²)
-//
-// J is 1 when every tenant receives the same allocation and approaches 1/n
-// when one tenant receives everything — the standard scalar the fairness
-// experiment summarizes per-tenant service with. Zero-length or all-zero
-// input returns 0.
-func JainFairnessIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// DRRTenantShare returns the service share deficit round robin guarantees a
-// backlogged tenant: weight / Σ(weights of contending backlogged tenants),
-// the tenant's own weight included. Non-positive weights count as 1 (the
-// gateway's default weight). No contenders means the tenant has the queue
-// to itself: share 1.
-func DRRTenantShare(weights map[string]int, tenant string) float64 {
-	w := func(name string) float64 {
-		if v := weights[name]; v >= 1 {
-			return float64(v)
-		}
-		return 1
-	}
-	total := w(tenant)
-	for name := range weights {
-		if name != tenant {
-			total += w(name)
-		}
-	}
-	return w(tenant) / total
-}
-
-// DRRExpectedWait estimates the queueing wait of a backlogged tenant's next
-// request under deficit round robin: the tenant drains its own backlog at
-// share × the queue's aggregate service rate (requests/second), so a
-// request arriving behind `queued` same-tenant requests waits
-//
-//	W ≈ (queued + 1) / (share · rate)
-//
-// This is the DRR counterpart of an M/M/1 wait estimate — exact for fully
-// backlogged round-robin service, optimistic when contenders go idle (the
-// idle share is redistributed, shortening the wait). A non-positive share
-// or rate returns 0 (no estimate).
-func DRRExpectedWait(queued int, share, rate float64) time.Duration {
-	if share <= 0 || rate <= 0 {
-		return 0
-	}
-	if queued < 0 {
-		queued = 0
-	}
-	sec := float64(queued+1) / (share * rate)
-	return time.Duration(sec * float64(time.Second))
-}
-
 // CloudDownload returns the same-region Azure Blob download time quoted in
 // §VI-A for each model. Cluster (NFS) storage instead uses the ModelLoad
 // stage costs.
@@ -594,24 +378,6 @@ func ExecUnderLoad(base time.Duration, n, cores int) time.Duration {
 	return time.Duration(lat)
 }
 
-// SchedulingOverhead is the enclave re-entry cost of a continuous batching
-// session: a session that runs `steps` scheduling frames pays perStep — the
-// frame decode plus the ECall transition — on every one of them, where
-// form-then-fire paid a single activation entry for the whole batch:
-//
-//	O_sched = steps × perStep
-//
-// This is the "scheduling overhead" component of the BLIS-style latency
-// decomposition — the price of mid-batch admission and step-boundary
-// preemption, bought back many times over in short-request p99 under
-// heavy-tailed execution times. Non-positive inputs return 0.
-func SchedulingOverhead(steps int, perStep time.Duration) time.Duration {
-	if steps <= 0 || perStep <= 0 {
-		return 0
-	}
-	return time.Duration(steps) * perStep
-}
-
 // PreemptionOverhead is the cost of preempt/resume cycles in a continuous
 // batching session: each preemption evicts a member at a step boundary,
 // re-queues it at the gateway, and re-admits it into a later session's
@@ -627,37 +393,6 @@ func PreemptionOverhead(preemptions int, perPreemption time.Duration) time.Durat
 		return 0
 	}
 	return time.Duration(preemptions) * perPreemption
-}
-
-// RetryOverhead is the added latency a request pays for surviving `retries`
-// failed dispatch attempts under the gateway's exponential-backoff policy:
-// attempt k (1-based) waits base×2^(k-1) before re-dispatch, each wait capped
-// at cap (0 = uncapped):
-//
-//	O_retry = Σ_{k=1..retries} min(base × 2^(k-1), cap)
-//
-// The deterministic center of the backoff distribution — the gateway adds up
-// to 50% jitter on top, so the observed overhead lies in [O, 1.5×O). This is
-// the "recovery tax" the chaos experiment's p99-under-faults decomposes:
-// goodput loss under a node kill is bounded by retries × (O_retry + service),
-// not by the outage length. Non-positive retries or base return 0.
-func RetryOverhead(retries int, base, cap time.Duration) time.Duration {
-	if retries <= 0 || base <= 0 {
-		return 0
-	}
-	var total time.Duration
-	d := base
-	for k := 0; k < retries; k++ {
-		step := d
-		if cap > 0 && step > cap {
-			step = cap
-		}
-		total += step
-		if d < cap || cap <= 0 {
-			d *= 2
-		}
-	}
-	return total
 }
 
 // ShardImbalance is the hot-shard load factor of a sharded gateway tier: the
@@ -690,53 +425,6 @@ func ShardImbalance(perShard []float64) float64 {
 		return 0
 	}
 	return max / (sum / float64(n))
-}
-
-// StealOverhead is the scheduling cost of `steals` work-stealing operations,
-// each moving one queue drain between shards at perSteal (two shard-lock
-// crossings plus the re-enqueue, ~single-digit microseconds in-process):
-//
-//	O_steal = steals × perSteal
-//
-// The frontier's answer to ShardImbalance is not free — this is its price,
-// reported alongside the throughput it recovers so the bench can show the
-// trade explicitly (steals are rare and batch-granular, so O_steal stays
-// far below the queueing delay the stolen requests would otherwise accrue
-// on the saturated shard). Non-positive inputs return 0.
-func StealOverhead(steals int, perSteal time.Duration) time.Duration {
-	if steals <= 0 || perSteal <= 0 {
-		return 0
-	}
-	return time.Duration(steals) * perSteal
-}
-
-// AvailabilityUnderFaults is the probability a request is eventually served
-// when each independent dispatch attempt fails with probability failProb and
-// the gateway makes `attempts` total attempts (1 + MaxRetries):
-//
-//	A = 1 − p^attempts
-//
-// The chaos experiment's "requests lost = 0 with recovery on" is this curve's
-// practical endpoint: with a 2-node cluster losing one node (p ≈ 0.5 for the
-// instant before the breaker opens) and 3 retries, A ≈ 0.94 per-instant — and
-// the breaker redirecting placement pushes the effective p of later attempts
-// toward 0, which is why observed loss hits zero. failProb is clamped to
-// [0, 1]; attempts < 1 returns 0.
-func AvailabilityUnderFaults(failProb float64, attempts int) float64 {
-	if attempts < 1 {
-		return 0
-	}
-	if failProb < 0 {
-		failProb = 0
-	}
-	if failProb > 1 {
-		failProb = 1
-	}
-	p := 1.0
-	for i := 0; i < attempts; i++ {
-		p *= failProb
-	}
-	return 1 - p
 }
 
 // ExecWorkingSet returns the enclave bytes a request touches during model
@@ -781,114 +469,6 @@ func PagingDelay(workingSet int64, concurrentPagers int, residentEPC, epc int64)
 	}
 	sec := float64(workingSet) * float64(concurrentPagers) / PagingBandwidth
 	return time.Duration(sec * float64(time.Second))
-}
-
-// SplitterOverhead is the per-request routing tax of the revision splitter:
-// one sticky-hash evaluation (FNV over the caller key plus a mixing step) and
-// one atomic snapshot load, both lock-free on the submit path. perRequest is
-// the measured per-decision cost (~tens of nanoseconds in-process); the bench
-// gates the splitter's steady-state throughput at ≥ 0.97x the no-splitter
-// baseline, which this linear model predicts comfortably: O_split = n × c is
-// invisible next to a single request's crypto stage. Non-positive inputs
-// return 0.
-func SplitterOverhead(requests int, perRequest time.Duration) time.Duration {
-	if requests <= 0 || perRequest <= 0 {
-		return 0
-	}
-	return time.Duration(requests) * perRequest
-}
-
-// TimeToRollback is the worst-case interval from the moment a canary
-// revision starts misbehaving to the rollback completing:
-//
-//	T = detect + drain
-//	detect ≤ windows × stepInterval   (windows full observation windows
-//	                                   must breach before the gate trips —
-//	                                   1 for a hard breach, more when cold
-//	                                   starts blur the first window)
-//	drain  ≤ min(inflight × serve, drainTimeout)
-//
-// The rollback itself is O(1): zero the weight (one atomic store — no new
-// canary traffic from that instant) and revoke the measurement after the
-// drain. The drain term is what the enclave setting adds: revoking a
-// measurement kills key release CLUSTER-WIDE for that build, so in-flight
-// canary requests must land before revocation or they die mid-serve.
-func TimeToRollback(windows int, stepInterval time.Duration, inflight int, serve, drainTimeout time.Duration) time.Duration {
-	if windows < 1 {
-		windows = 1
-	}
-	if stepInterval < 0 {
-		stepInterval = 0
-	}
-	t := time.Duration(windows) * stepInterval
-	var drain time.Duration
-	if inflight > 0 && serve > 0 {
-		drain = time.Duration(inflight) * serve
-	}
-	if drainTimeout > 0 && drain > drainTimeout {
-		drain = drainTimeout
-	}
-	return t + drain
-}
-
-// RequestsAffected bounds a bad canary's blast radius: the requests the
-// canary absorbs before rollback at arrival rate `rate` (requests/second)
-// with ramp weight `weightPct` (percent) over detection time t,
-//
-//	N ≤ rate × (weight/100) × t
-//
-// The ramp's whole point is making this proportional to the FIRST step's
-// weight rather than full traffic: a 1% first step caps the damage at 1% of
-// one observation window's arrivals (plus the drain tail). Non-positive
-// inputs return 0; weights above 100 clamp.
-func RequestsAffected(rate float64, weightPct int, t time.Duration) int {
-	if rate <= 0 || weightPct <= 0 || t <= 0 {
-		return 0
-	}
-	if weightPct > 100 {
-		weightPct = 100
-	}
-	return int(rate * float64(weightPct) / 100 * t.Seconds())
-}
-
-// ObservabilityOverhead estimates the throughput tax of request-lifecycle
-// tracing as the fraction of one request's service time spent on trace
-// bookkeeping. With the tracer armed, EVERY request pays the fixed cost —
-// minting a pooled trace plus `spans` span appends (uncontended mutex +
-// clock read each) — and the head-sampled fraction additionally pays
-// retention: copying its spans and inserting into the sharded ring.
-//
-//	tax = (mint + spans×append + sample×(spans×copy + ring)) / perRequest
-//
-// The constants are order-of-magnitude costs on commodity hardware (~200 ns
-// mint/recycle, ~120 ns per append, ~60 ns per copied span, ~150 ns ring
-// insert); the point is the shape: the tax is inversely proportional to the
-// request's service time, so millisecond-scale enclave inference keeps
-// sub-microsecond bookkeeping far below the 3% budget, and head sampling
-// only trims an already-small term. The obstax experiment measures the real
-// ratio this estimates. Non-positive perRequest returns 0; the result is
-// clamped to [0, 1].
-func ObservabilityOverhead(sample float64, spans int, perRequest time.Duration) float64 {
-	if perRequest <= 0 || spans < 0 {
-		return 0
-	}
-	if sample < 0 {
-		sample = 0
-	} else if sample > 1 {
-		sample = 1
-	}
-	const (
-		mintNs   = 200
-		appendNs = 120
-		copyNs   = 60
-		ringNs   = 150
-	)
-	perTrace := float64(mintNs+spans*appendNs) + sample*float64(spans*copyNs+ringNs)
-	tax := perTrace / float64(perRequest.Nanoseconds())
-	if tax > 1 {
-		return 1
-	}
-	return tax
 }
 
 func min(a, b int) int {

@@ -362,250 +362,6 @@ func TestBatchFormationDelay(t *testing.T) {
 	}
 }
 
-func TestWarmHitRate(t *testing.T) {
-	// Degenerate shapes.
-	if r := WarmHitRate(0, time.Minute, 1); r != 0 {
-		t.Fatalf("zero rate: %v", r)
-	}
-	if r := WarmHitRate(10, 0, 1); r != 0 {
-		t.Fatalf("zero keep-warm: %v", r)
-	}
-	// Bounded in [0, 1] and monotone in rate.
-	lo := WarmHitRate(0.001, 3*time.Minute, 1)
-	hi := WarmHitRate(0.01, 3*time.Minute, 1)
-	if lo <= 0 || hi > 1 || hi <= lo {
-		t.Fatalf("bounds/monotonicity: lo %v hi %v", lo, hi)
-	}
-	// A busy stream inside the keep-warm window is effectively always warm.
-	if r := WarmHitRate(10, 3*time.Minute, 1); r < 0.999 {
-		t.Fatalf("busy stream warm rate %v", r)
-	}
-	// Spreading the stream over more nodes can only lower the warm rate —
-	// the analytic case for sticky (spread 1) affinity routing.
-	sticky := WarmHitRate(0.02, 3*time.Minute, 1)
-	spread := WarmHitRate(0.02, 3*time.Minute, 8)
-	if spread >= sticky {
-		t.Fatalf("spread %v not below sticky %v", spread, sticky)
-	}
-	// spread < 1 clamps to 1.
-	if WarmHitRate(0.02, 3*time.Minute, 0) != sticky {
-		t.Fatal("spread 0 must clamp to 1")
-	}
-}
-
-func TestColdStartAmortization(t *testing.T) {
-	const cold = 500 * time.Millisecond
-	// An always-warm stream amortizes to ~nothing.
-	if d := ColdStartAmortization(10, 3*time.Minute, cold, 1, 8); d > time.Millisecond {
-		t.Fatalf("warm stream charge %v", d)
-	}
-	// A dead-cold stream pays the full cost divided across the batch.
-	if d := ColdStartAmortization(0, 3*time.Minute, cold, 1, 8); d != cold/8 {
-		t.Fatalf("cold stream charge %v, want %v", d, cold/8)
-	}
-	// Larger batches amortize more; maxBatch < 1 clamps.
-	small := ColdStartAmortization(0.001, time.Minute, cold, 4, 1)
-	large := ColdStartAmortization(0.001, time.Minute, cold, 4, 16)
-	if large >= small {
-		t.Fatalf("batch 16 charge %v not below batch 1 charge %v", large, small)
-	}
-	if ColdStartAmortization(0, time.Minute, cold, 1, 0) != cold {
-		t.Fatal("maxBatch 0 must clamp to 1")
-	}
-}
-
-func TestJainFairnessIndex(t *testing.T) {
-	const eps = 1e-9
-	cases := []struct {
-		name string
-		xs   []float64
-		want float64
-	}{
-		{"empty", nil, 0},
-		{"all zero", []float64{0, 0, 0}, 0},
-		{"perfectly fair", []float64{5, 5, 5, 5}, 1},
-		{"single tenant", []float64{42}, 1},
-		{"one takes all of four", []float64{10, 0, 0, 0}, 0.25},
-		{"half and half", []float64{2, 2, 0, 0}, 0.5},
-		{"mild skew", []float64{4, 3, 3, 2}, (12.0 * 12.0) / (4.0 * 38.0)},
-	}
-	for _, c := range cases {
-		got := JainFairnessIndex(c.xs)
-		if got < c.want-eps || got > c.want+eps {
-			t.Errorf("%s: J(%v) = %v, want %v", c.name, c.xs, got, c.want)
-		}
-	}
-}
-
-func TestDRRTenantShare(t *testing.T) {
-	const eps = 1e-9
-	cases := []struct {
-		name    string
-		weights map[string]int
-		tenant  string
-		want    float64
-	}{
-		{"alone", map[string]int{}, "a", 1},
-		{"two equal", map[string]int{"a": 1, "b": 1}, "a", 0.5},
-		{"unlisted among two", map[string]int{"b": 1, "c": 1}, "a", 1.0 / 3},
-		{"weighted 3 of 5", map[string]int{"a": 3, "b": 1, "c": 1}, "a", 0.6},
-		{"zero weight clamps to 1", map[string]int{"a": 0, "b": 1}, "a", 0.5},
-	}
-	for _, c := range cases {
-		got := DRRTenantShare(c.weights, c.tenant)
-		if got < c.want-eps || got > c.want+eps {
-			t.Errorf("%s: share = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestDRRExpectedWait(t *testing.T) {
-	cases := []struct {
-		name   string
-		queued int
-		share  float64
-		rate   float64
-		want   time.Duration
-	}{
-		{"empty queue, full share", 0, 1, 10, 100 * time.Millisecond},
-		{"half share doubles the wait", 0, 0.5, 10, 200 * time.Millisecond},
-		{"backlog scales linearly", 9, 1, 10, time.Second},
-		{"no service rate, no estimate", 5, 0.5, 0, 0},
-		{"no share, no estimate", 5, 0, 10, 0},
-		{"negative backlog clamps", -3, 1, 10, 100 * time.Millisecond},
-	}
-	for _, c := range cases {
-		if got := DRRExpectedWait(c.queued, c.share, c.rate); got != c.want {
-			t.Errorf("%s: wait = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestKeyCacheHitRate(t *testing.T) {
-	cases := []struct {
-		name             string
-		users, cacheSize int
-		want             float64
-	}{
-		{"cache covers the population", 16, 64, 1},
-		{"cache equals the population", 16, 16, 1},
-		{"quarter coverage", 16, 4, 0.25},
-		{"single pair over 16 users", 16, 1, 1.0 / 16},
-		{"one user always hits", 1, 1, 1},
-		{"no users", 0, 4, 0},
-		{"disabled cache", 16, 0, 0},
-	}
-	for _, c := range cases {
-		if got := KeyCacheHitRate(c.users, c.cacheSize); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("%s: hit rate = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestExpectedKeySwitches(t *testing.T) {
-	// Exact endpoints.
-	if got := ExpectedKeySwitches(8, 16, 64); got != 0 {
-		t.Errorf("covering cache: switches = %v, want 0", got)
-	}
-	if got := ExpectedKeySwitches(8, 16, 0); got != 8 {
-		t.Errorf("disabled cache: switches = %v, want batch size", got)
-	}
-	if got := ExpectedKeySwitches(0, 16, 1); got != 0 {
-		t.Errorf("empty batch: switches = %v, want 0", got)
-	}
-	if got := ExpectedKeySwitches(8, 0, 1); got != 0 {
-		t.Errorf("no users: switches = %v, want 0", got)
-	}
-	// Single-pair cache over a diverse batch: E[distinct] · (1 − 1/users).
-	distinct := 16 * (1 - math.Pow(15.0/16, 8))
-	want := distinct * (1 - 1.0/16)
-	if got := ExpectedKeySwitches(8, 16, 1); math.Abs(got-want) > 1e-9 {
-		t.Errorf("single pair: switches = %v, want %v", got, want)
-	}
-	// Monotone: a bigger cache never costs more switches.
-	prev := math.Inf(1)
-	for _, cs := range []int{1, 2, 4, 8, 16, 32} {
-		got := ExpectedKeySwitches(8, 16, cs)
-		if got > prev {
-			t.Errorf("cache %d: switches %v exceed smaller cache's %v", cs, got, prev)
-		}
-		prev = got
-	}
-}
-
-func TestForecastError(t *testing.T) {
-	// Perfect forecast scores 0.
-	if e := ForecastError([]float64{10, 20, 30}, []float64{10, 20, 30}); e != 0 {
-		t.Fatalf("perfect forecast error %.3f", e)
-	}
-	// |2|+|2|+|2| over 10+20+30 = 0.1.
-	if e := ForecastError([]float64{10, 20, 30}, []float64{12, 18, 32}); e < 0.099 || e > 0.101 {
-		t.Fatalf("error %.3f, want 0.1", e)
-	}
-	// Mismatched lengths compare the overlap only.
-	if e := ForecastError([]float64{10, 10}, []float64{10, 10, 99}); e != 0 {
-		t.Fatalf("overlap error %.3f", e)
-	}
-	if e := ForecastError(nil, []float64{1}); e != 0 {
-		t.Fatalf("empty overlap error %.3f", e)
-	}
-	if e := ForecastError([]float64{0, 0}, []float64{1, 1}); e != 0 {
-		t.Fatalf("all-zero actuals error %.3f", e)
-	}
-}
-
-func TestIdleSandboxSeconds(t *testing.T) {
-	// A hot pool (per-sandbox rate >> 1/keepWarm) idles ~pool seconds per
-	// second: every sandbox is alive and mostly between closely spaced uses.
-	if got := IdleSandboxSeconds(4, 400, 10*time.Second); got < 3.9 || got > 4.0 {
-		t.Fatalf("hot pool accrual %.2f, want ≈4", got)
-	}
-	// A nearly dead stream barely accrues: sandboxes expire instead.
-	if got := IdleSandboxSeconds(4, 0.01, time.Second); got >= 0.1 {
-		t.Fatalf("cold stream accrual %.3f, want ≈0", got)
-	}
-	// Shrinking keep-warm strictly shrinks the accrual (the scale-down claim).
-	long := IdleSandboxSeconds(4, 1, 60*time.Second)
-	short := IdleSandboxSeconds(4, 1, 5*time.Second)
-	if short >= long {
-		t.Fatalf("accrual did not shrink with keep-warm: %.2f vs %.2f", short, long)
-	}
-	if IdleSandboxSeconds(0, 1, time.Second) != 0 || IdleSandboxSeconds(1, 0, time.Second) != 0 ||
-		IdleSandboxSeconds(1, 1, 0) != 0 {
-		t.Fatal("non-positive inputs must return 0")
-	}
-}
-
-func TestColdStartsAvoided(t *testing.T) {
-	// A +40 rps step against a 500 ms container start, 4 slots per sandbox:
-	// 40*0.5/4 = 5 cold starts converted to warm hits.
-	if got := ColdStartsAvoided(40, 500*time.Millisecond, 4); got != 5 {
-		t.Fatalf("avoided %.1f, want 5", got)
-	}
-	// Unbatched slots default to 1.
-	if got := ColdStartsAvoided(40, 500*time.Millisecond, 0); got != 20 {
-		t.Fatalf("avoided %.1f, want 20", got)
-	}
-	if ColdStartsAvoided(0, time.Second, 1) != 0 || ColdStartsAvoided(1, 0, 1) != 0 {
-		t.Fatal("non-positive inputs must return 0")
-	}
-}
-
-func TestSchedulingOverhead(t *testing.T) {
-	// 20 frames at 50µs of decode+ECall each: 1ms of pure scheduling — the
-	// price a continuous session pays over form-then-fire's single entry.
-	if got := SchedulingOverhead(20, 50*time.Microsecond); got != time.Millisecond {
-		t.Fatalf("O_sched = %v, want 1ms", got)
-	}
-	if got := SchedulingOverhead(1, time.Millisecond); got != time.Millisecond {
-		t.Fatalf("single frame = %v, want 1ms", got)
-	}
-	if SchedulingOverhead(0, time.Second) != 0 || SchedulingOverhead(-3, time.Second) != 0 ||
-		SchedulingOverhead(5, 0) != 0 || SchedulingOverhead(5, -time.Second) != 0 {
-		t.Fatal("non-positive inputs must return 0")
-	}
-}
-
 func TestPreemptionOverhead(t *testing.T) {
 	// A 20-step member against a budget of 4 preempts 4 times; at 2ms per
 	// evict/re-admit cycle it pays 8ms on top of its execution.
@@ -618,24 +374,6 @@ func TestPreemptionOverhead(t *testing.T) {
 	}
 	if PreemptionOverhead(0, time.Second) != 0 || PreemptionOverhead(-1, time.Second) != 0 ||
 		PreemptionOverhead(3, 0) != 0 {
-		t.Fatal("non-positive inputs must return 0")
-	}
-}
-
-func TestRetryOverhead(t *testing.T) {
-	// Three retries at 1ms base, uncapped: 1 + 2 + 4 = 7ms of backoff.
-	if got := RetryOverhead(3, time.Millisecond, 0); got != 7*time.Millisecond {
-		t.Fatalf("O_retry uncapped = %v, want 7ms", got)
-	}
-	// The cap flattens the tail: 1 + 2 + 3 + 3 = 9ms.
-	if got := RetryOverhead(4, time.Millisecond, 3*time.Millisecond); got != 9*time.Millisecond {
-		t.Fatalf("O_retry capped = %v, want 9ms", got)
-	}
-	if got := RetryOverhead(1, 5*time.Millisecond, time.Millisecond); got != time.Millisecond {
-		t.Fatalf("base above cap = %v, want 1ms", got)
-	}
-	if RetryOverhead(0, time.Second, 0) != 0 || RetryOverhead(-1, time.Second, 0) != 0 ||
-		RetryOverhead(3, 0, 0) != 0 {
 		t.Fatal("non-positive inputs must return 0")
 	}
 }
@@ -663,127 +401,5 @@ func TestShardImbalance(t *testing.T) {
 	}
 	if ShardImbalance(nil) != 0 || ShardImbalance([]float64{0, 0}) != 0 {
 		t.Fatal("no load must report no imbalance")
-	}
-}
-
-func TestStealOverhead(t *testing.T) {
-	// Six steals at 5µs per drain move: 30µs total scheduling tax.
-	if got := StealOverhead(6, 5*time.Microsecond); got != 30*time.Microsecond {
-		t.Fatalf("O_steal = %v, want 30µs", got)
-	}
-	// Linear in steal count, same shape as PreemptionOverhead.
-	if StealOverhead(12, 5*time.Microsecond) != 2*StealOverhead(6, 5*time.Microsecond) {
-		t.Fatal("overhead must be linear in steal count")
-	}
-	if StealOverhead(0, time.Second) != 0 || StealOverhead(-2, time.Second) != 0 ||
-		StealOverhead(3, 0) != 0 || StealOverhead(3, -time.Microsecond) != 0 {
-		t.Fatal("non-positive inputs must return 0")
-	}
-}
-
-func TestAvailabilityUnderFaults(t *testing.T) {
-	// Coin-flip attempt failure, four attempts: 1 - 0.5^4 = 93.75%.
-	if got := AvailabilityUnderFaults(0.5, 4); got != 0.9375 {
-		t.Fatalf("A(0.5, 4) = %v, want 0.9375", got)
-	}
-	// One attempt is the complement of the failure probability.
-	if got := AvailabilityUnderFaults(0.2, 1); got != 0.8 {
-		t.Fatalf("A(0.2, 1) = %v, want 0.8", got)
-	}
-	// Retries strictly improve availability while failures are possible.
-	if AvailabilityUnderFaults(0.3, 3) <= AvailabilityUnderFaults(0.3, 2) {
-		t.Fatal("an extra attempt must raise availability for 0 < p < 1")
-	}
-	// Certain failure never succeeds; certain success needs one attempt.
-	if AvailabilityUnderFaults(1, 10) != 0 || AvailabilityUnderFaults(0, 1) != 1 {
-		t.Fatal("degenerate probabilities")
-	}
-	// Out-of-range inputs clamp rather than explode.
-	if AvailabilityUnderFaults(-0.5, 2) != 1 || AvailabilityUnderFaults(1.5, 2) != 0 ||
-		AvailabilityUnderFaults(0.5, 0) != 0 {
-		t.Fatal("clamped inputs")
-	}
-}
-
-func TestSplitterOverhead(t *testing.T) {
-	// A thousand routing decisions at 50ns each: 50µs total — invisible
-	// next to a single request's 5ms crypto stage.
-	if got := SplitterOverhead(1000, 50*time.Nanosecond); got != 50*time.Microsecond {
-		t.Fatalf("O_split = %v, want 50µs", got)
-	}
-	// Linear in request count, like the other per-op taxes.
-	if SplitterOverhead(2000, 50*time.Nanosecond) != 2*SplitterOverhead(1000, 50*time.Nanosecond) {
-		t.Fatal("overhead must be linear in request count")
-	}
-	if SplitterOverhead(0, time.Second) != 0 || SplitterOverhead(-1, time.Second) != 0 ||
-		SplitterOverhead(5, 0) != 0 {
-		t.Fatal("non-positive inputs must return 0")
-	}
-}
-
-func TestTimeToRollback(t *testing.T) {
-	// One breached 10s window plus 20 in-flight at 100ms each: 12s.
-	if got := TimeToRollback(1, 10*time.Second, 20, 100*time.Millisecond, 30*time.Second); got != 12*time.Second {
-		t.Fatalf("T = %v, want 12s", got)
-	}
-	// The drain term is capped by the timeout: a wedged canary cannot stall
-	// the rollback forever.
-	if got := TimeToRollback(1, 10*time.Second, 1000, time.Second, 30*time.Second); got != 40*time.Second {
-		t.Fatalf("T = %v, want 40s (drain capped at timeout)", got)
-	}
-	// Cold-start blur costing an extra window adds exactly one interval.
-	if TimeToRollback(2, 10*time.Second, 0, 0, 0)-TimeToRollback(1, 10*time.Second, 0, 0, 0) != 10*time.Second {
-		t.Fatal("each extra detection window adds one step interval")
-	}
-	// Degenerate inputs floor sensibly.
-	if TimeToRollback(0, 5*time.Second, 0, 0, 0) != 5*time.Second {
-		t.Fatal("detection takes at least one window")
-	}
-}
-
-func TestRequestsAffected(t *testing.T) {
-	// 100 req/s at a 5% first step for a 10s window: 50 requests — the ramp
-	// caps blast radius at the first step's share, not full traffic.
-	if got := RequestsAffected(100, 5, 10*time.Second); got != 50 {
-		t.Fatalf("N = %d, want 50", got)
-	}
-	// Proportional to weight: the 1% step absorbs a fifth of the 5% step.
-	if RequestsAffected(100, 1, 10*time.Second)*5 != RequestsAffected(100, 5, 10*time.Second) {
-		t.Fatal("blast radius must scale with ramp weight")
-	}
-	// Weights clamp at 100%; non-positive inputs return 0.
-	if RequestsAffected(100, 150, time.Second) != 100 {
-		t.Fatal("weight must clamp at 100%")
-	}
-	if RequestsAffected(0, 5, time.Second) != 0 || RequestsAffected(100, 0, time.Second) != 0 ||
-		RequestsAffected(100, 5, 0) != 0 {
-		t.Fatal("non-positive inputs must return 0")
-	}
-}
-
-func TestObservabilityOverhead(t *testing.T) {
-	// Millisecond-scale requests keep sub-microsecond bookkeeping far below
-	// the 3% budget — the analytic form of the obstax gate.
-	if tax := ObservabilityOverhead(0.1, 6, 3*time.Millisecond); tax <= 0 || tax > 0.03 {
-		t.Fatalf("tax = %v, want (0, 0.03]", tax)
-	}
-	// Sampling more costs more (retention is per-kept-trace); never less.
-	if ObservabilityOverhead(1, 6, time.Millisecond) <= ObservabilityOverhead(0, 6, time.Millisecond) {
-		t.Fatal("full sampling must cost more than anomaly-only")
-	}
-	// Inversely proportional to service time: a 10x faster request pays 10x
-	// the relative tax.
-	slow := ObservabilityOverhead(0.1, 6, 10*time.Millisecond)
-	fast := ObservabilityOverhead(0.1, 6, time.Millisecond)
-	if ratio := fast / slow; ratio < 9.99 || ratio > 10.01 {
-		t.Fatalf("tax ratio = %v, want 10", ratio)
-	}
-	// Degenerate inputs: no service time means no defined tax; microscopic
-	// requests clamp at 1.
-	if ObservabilityOverhead(0.5, 6, 0) != 0 {
-		t.Fatal("non-positive perRequest must return 0")
-	}
-	if ObservabilityOverhead(1, 1000, time.Nanosecond) != 1 {
-		t.Fatal("tax must clamp at 1")
 	}
 }

@@ -2,7 +2,7 @@
 // stack. An Injector is wired into serverless.Cluster (Config.Faults) and
 // semirt (Deps.Faults) behind a no-op default: a nil *Injector answers every
 // check with the zero value, so production paths carry one nil check and no
-// locking. Faults are injected by the chaos bench and tests through the
+// locking. Faults are injected by loadgen -chaos and tests through the
 // control methods; check methods are what the serving layers consult on their
 // hot paths.
 //

@@ -14,7 +14,7 @@ package frontier
 // exports requests that are QUEUED (never batch members in flight), and the
 // destination dispatches them under its own formation rules. The pacer moves
 // at most half the observed gap, so one tick cannot invert the imbalance and
-// set up a ping-pong; costmodel.StealOverhead prices what the loop spends.
+// set up a ping-pong.
 
 import "time"
 

@@ -806,8 +806,7 @@ func (g *Gateway) Stats() Stats {
 	}
 }
 
-// TenantSnapshot returns per-tenant accounting (the fairness experiment's
-// raw data). The map is bounded at maxTenantStats tenants; past that an
+// TenantSnapshot returns per-tenant accounting. The map is bounded at maxTenantStats tenants; past that an
 // entry with nothing in flight is dropped (an arbitrary one if none is).
 func (g *Gateway) TenantSnapshot() map[string]TenantCounts {
 	g.mu.Lock()

@@ -272,11 +272,19 @@ func TestCloseFailsQueuedAndRejectsNew(t *testing.T) {
 	for g.Stats().Accepted != 2 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	close(inv.block)
-	g.Close()
+	// Close while the first dispatch still holds the only in-flight slot, so
+	// the second request is still queued; release the backend only once
+	// Close has failed it, or the dispatcher could ship it first.
+	closed := make(chan struct{})
+	go func() {
+		g.Close()
+		close(closed)
+	}()
 	if err := <-errc; !errors.Is(err, ErrClosed) {
 		t.Fatalf("queued err %v, want ErrClosed", err)
 	}
+	close(inv.block)
+	<-closed
 	if _, err := g.Do(context.Background(), "fn", req("m", 2)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close err %v, want ErrClosed", err)
 	}

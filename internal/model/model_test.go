@@ -191,7 +191,7 @@ func TestZooLambdaMatchesFigure10(t *testing.T) {
 	// λ values printed in Figure 10 of the paper. Note: the figure legend
 	// says λ=1.77 for DSNET/TVM, but Table I (55 MB / 44 MB) implies 1.25;
 	// the other five legend values match Table I exactly, so we take Table I
-	// as ground truth and record the discrepancy in EXPERIMENTS.md.
+	// as ground truth.
 	want := map[string]map[string]float64{
 		"mbnet": {"tvm": 1.76, "tflm": 0.29},
 		"rsnet": {"tvm": 1.21, "tflm": 0.14},

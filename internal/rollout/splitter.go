@@ -290,7 +290,7 @@ func (s *Splitter) Errored(modelID string) uint64 {
 // Do routes one caller's request through the splitter: pick the revision,
 // build the (revision-bound, encrypted) request via build, submit it, wait,
 // and feed the outcome back into the revision's SLO window. It is the
-// closed-loop serving path the rollout bench and loadgen drive.
+// closed-loop serving path loadgen and the live rollout test drive.
 func (s *Splitter) Do(ctx context.Context, sub Submitter, tenant, user string,
 	build func(modelID string) (gateway.Request, error)) (semirt.Response, error) {
 	target := s.Target(tenant, user)

@@ -153,7 +153,7 @@ type Stats struct {
 	// cache it fetched once per user flip).
 	KeyFetches uint64
 	// SessionSteps counts continuous-session scheduling frames (one enclave
-	// entry each) — the step-loop volume costmodel.SchedulingOverhead prices.
+	// entry each) — the step-loop volume a continuous session pays for.
 	SessionSteps uint64
 	// Preempted counts members evicted at a step boundary with ErrPreempted.
 	Preempted uint64

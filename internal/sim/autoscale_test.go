@@ -47,8 +47,7 @@ func burstyTrace() workload.Trace {
 	return workload.Diurnal(7, 8, 0.5, 80*time.Second, 320*time.Second, "dsnet", "u")
 }
 
-// TestPredictiveBeatsReactiveOnBurstyTrace is the deterministic mirror of
-// the live BENCH_autoscale ranking: on a bursty trace the forecast-driven
+// TestPredictiveBeatsReactiveOnBurstyTrace: on a bursty trace the forecast-driven
 // controller pays materially fewer cold-path requests and lower tail
 // latency than the reactive start-on-pressure baseline, because warm
 // (enclave-built) capacity lands before each ramp's queue forms.

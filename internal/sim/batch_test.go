@@ -111,8 +111,7 @@ func TestBatchFormationMatchesCostModel(t *testing.T) {
 	}
 }
 
-// TestBatchingAmortizesInvokeOverhead is the sim-side mirror of the live
-// gateway experiment: with a per-activation overhead configured, batching
+// TestBatchingAmortizesInvokeOverhead: with a per-activation overhead configured, batching
 // must show a net latency benefit (the overhead is paid once per batch),
 // not just the formation cost.
 func TestBatchingAmortizesInvokeOverhead(t *testing.T) {

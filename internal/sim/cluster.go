@@ -161,8 +161,8 @@ type Config struct {
 	// gateway.Config.Autoscaler) inside the discrete-event harness, running
 	// the SAME policy functions (Holt forecast, Little's-law target,
 	// adaptive keep-warm) on the simulator's virtual clock — so the ranking
-	// the live bench measures (predictive beats reactive on bursty traces)
-	// is reproducible deterministically.
+	// (predictive beats reactive on bursty traces) is reproducible
+	// deterministically.
 	Autoscale AutoscaleSpec
 	// Faults mirrors the live fault-injection plane (internal/faults) and
 	// the gateway's retry/failover recovery inside the discrete-event
@@ -215,8 +215,7 @@ type BatchSpec struct {
 	// drained by deficit round robin with TenantWeights, so a flooding user
 	// cannot starve the rest of its (endpoint, model) stream. Off, the
 	// stream is one FIFO: batches form in pure arrival order and queue
-	// behind each other (the v1 gateway), which is the starvation baseline
-	// the fairness experiment measures against.
+	// behind each other (the v1 gateway), which is the starvation baseline.
 	DRR bool
 	// TenantWeights mirrors gateway.Config.TenantWeights (user id →
 	// deficit-round-robin weight; unlisted users weigh 1). Only meaningful
@@ -242,8 +241,8 @@ type BatchSpec struct {
 	PreemptAfter int
 	// StepOverhead is the per-frame scheduling cost of a continuous session
 	// (the step-frame decode plus enclave re-entry the live path pays once
-	// per frame) — Result.SchedSteps × StepOverhead is the run's
-	// costmodel.SchedulingOverhead.
+	// per frame) — Result.SchedSteps × StepOverhead is the run's scheduling
+	// overhead.
 	StepOverhead time.Duration
 }
 
@@ -384,7 +383,7 @@ type Result struct {
 	KeyFetches int
 	// SchedSteps counts continuous-session scheduling frames (0 when
 	// Batch.Continuous is off) — SchedSteps × Batch.StepOverhead is the
-	// run's costmodel.SchedulingOverhead.
+	// run's scheduling overhead.
 	SchedSteps int
 	// Preemptions counts the preempt/resume cycles long members would
 	// undergo at the live gateway (costmodel.PreemptionOverhead volume).

@@ -46,8 +46,7 @@ func lightLatency(t *testing.T, res *Result) time.Duration {
 	return worst
 }
 
-// TestDRRProtectsLightUser mirrors the live fairness experiment in virtual
-// time: with one flooding user backlogging the stream, the light user's
+// TestDRRProtectsLightUser, in virtual time: with one flooding user backlogging the stream, the light user's
 // worst-case latency under the DRR discipline must beat the FIFO batcher's
 // by a wide margin — under FIFO its requests queue behind the entire burst,
 // under DRR they ride one of the next few batches.

@@ -34,7 +34,7 @@ type FaultsSpec struct {
 	KSOutageAt, KSOutageUntil time.Duration
 	// Retries is the per-request failover budget (live:
 	// gateway.Config.MaxRetries). 0 = recovery off: faulted requests are
-	// lost, the availability baseline the chaos experiment measures against.
+	// lost, the availability baseline recovery is judged against.
 	Retries int
 	// RetryBackoff is the base failover delay, doubling per attempt with the
 	// exponent capped like the live gateway's (default 1ms).

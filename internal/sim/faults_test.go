@@ -42,7 +42,7 @@ func TestSimNodeCrashRecoveryLosesNothing(t *testing.T) {
 }
 
 // The same kill with recovery off loses the in-flight requests — the
-// availability baseline the chaos experiment measures against.
+// availability baseline recovery is judged against.
 func TestSimNodeCrashWithoutRecoveryLosesRequests(t *testing.T) {
 	cfg := oneAction(SeSeMI, "tvm", "mbnet", 2)
 	cfg.Nodes = 2

@@ -67,8 +67,7 @@ func TestMaxInFlightBoundSaturatesThroughput(t *testing.T) {
 	// within each stream) — covered by the multi-model affinity test below.
 }
 
-// TestAffinityReducesModelSwaps mirrors the live routing experiment in the
-// discrete-event harness: two models behind one endpoint on two nodes, each
+// TestAffinityReducesModelSwaps, in the discrete-event harness: two models behind one endpoint on two nodes, each
 // node fitting one sandbox. Indiscriminate placement ping-pongs both models
 // through both enclaves (every pick hits a sandbox warm for the other model
 // and reloads — Warm path); affinity homes each model on its own node, so

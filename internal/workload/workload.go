@@ -126,7 +126,7 @@ func sojourn(rng *rand.Rand, mean time.Duration) time.Duration {
 // generated by thinning a homogeneous peakRate process — the standard exact
 // method for a bounded time-varying rate. Unlike MMPP's sudden state
 // switches, the ramps here are gradual, which is what a trend-following
-// forecaster is supposed to anticipate (the autoscale experiment's trace).
+// forecaster is supposed to anticipate.
 func Diurnal(seed int64, peakRate, troughRate float64, period, duration time.Duration, modelID, userID string) Trace {
 	if peakRate <= 0 || duration <= 0 || period <= 0 {
 		return nil
@@ -148,8 +148,7 @@ func Diurnal(seed int64, peakRate, troughRate float64, period, duration time.Dur
 }
 
 // DiurnalRate is the instantaneous arrival rate of the Diurnal trace at
-// time t. Rising half-periods ([0, period/2) mod period) are the ramps the
-// autoscale bench scores p99 over.
+// time t. Rising half-periods ([0, period/2) mod period) are the ramps.
 func DiurnalRate(t time.Duration, peakRate, troughRate float64, period time.Duration) float64 {
 	if period <= 0 {
 		return 0
