@@ -79,7 +79,7 @@ func main() {
 	closed := flag.Int("closed", 0, "with -local: closed-loop client count (0 = open loop from the trace flags)")
 	requests := flag.Int("requests", 32, "with -local -closed: requests per client")
 	maxBatch := flag.Int("max-batch", 8, "with -local: gateway batch bound")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "with -local: gateway batch formation deadline")
+	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "with -local: gateway batch formation cap on a busy queue")
 	affinity := flag.Bool("affinity", false, "with -local: locality-aware batch routing (sticky per-model home nodes)")
 	localNodes := flag.Int("nodes", 1, "with -local: invoker node count")
 	shards := flag.Int("shards", 0, "with -local -closed: front the deployment with a sharded frontier of this many gateway shards (one tenant per client; 0/1 = the single gateway)")

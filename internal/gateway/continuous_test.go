@@ -245,9 +245,13 @@ func TestContinuousOpenFailureFailsBatch(t *testing.T) {
 // with no session support degrades to form-then-fire dispatch.
 func TestContinuousFallsBackWithoutSessionSurface(t *testing.T) {
 	inv := newFakeInvoker()
+	inv.block = make(chan struct{})
+	inv.started = make(chan struct{}, 8)
 	g := New(Config{MaxBatch: 2, MaxWait: time.Hour, Continuous: true}, inv)
 	defer g.Close()
 
+	// A held activation keeps the queue busy, so the next two form one batch.
+	held := occupy(t, g, inv)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -258,8 +262,13 @@ func TestContinuousFallsBackWithoutSessionSurface(t *testing.T) {
 			}
 		}(i)
 	}
+	<-inv.started
+	close(inv.block)
 	wg.Wait()
-	if _, sizes := inv.dispatched("fn"); len(sizes) != 1 || sizes[0] != 2 {
-		t.Fatalf("fallback dispatched %v, want one batch of 2", sizes)
+	if _, err := held.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, sizes := inv.dispatched("fn"); len(sizes) != 2 || sizes[1] != 2 {
+		t.Fatalf("fallback dispatched %v, want the held activation then one batch of 2", sizes)
 	}
 }

@@ -213,7 +213,9 @@ func TestDeadlineShedAtDispatch(t *testing.T) {
 
 // TestTightDeadlineServedOnIdleQueue: a deadline shorter than the MaxWait
 // formation window must not be starved by the gateway's own timer — the
-// deadline watchdog flushes early and the request is served, not shed.
+// idle queue dispatches the request at once and it is served, not shed.
+// (TestColdQueueDeadlineWatchdogLeavesServiceMargin covers the busy queue,
+// where the deadline watchdog is what flushes.)
 func TestTightDeadlineServedOnIdleQueue(t *testing.T) {
 	inv := newFakeInvoker()
 	g := New(Config{MaxBatch: 8, MaxWait: 10 * time.Second}, inv)

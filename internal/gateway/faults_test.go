@@ -240,8 +240,12 @@ func TestSessionCrashExhaustsRetriesTyped(t *testing.T) {
 // Satellite: Wait after Cancel observes ErrCanceled (the settled outcome),
 // never blocks.
 func TestWaitAfterCancel(t *testing.T) {
-	g := New(Config{MaxBatch: 8, MaxWait: time.Minute}, newFakeInvoker())
+	inv := newFakeInvoker()
+	inv.block = make(chan struct{})
+	inv.started = make(chan struct{}, 8)
+	g := New(Config{MaxBatch: 8, MaxWait: time.Minute}, inv)
 	defer g.Close()
+	occupy(t, g, inv) // a held dispatch keeps the next request queued
 	tk, err := g.Submit(context.Background(), Request{Action: "fn", Body: req("m", 0)})
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +262,12 @@ func TestWaitAfterCancel(t *testing.T) {
 // Satellite: WaitCtx expiry withdraws a still-queued request — the bound is
 // real, the slot is freed.
 func TestWaitCtxExpiryWithdraws(t *testing.T) {
-	g := New(Config{MaxBatch: 8, MaxWait: time.Minute}, newFakeInvoker())
+	inv := newFakeInvoker()
+	inv.block = make(chan struct{})
+	inv.started = make(chan struct{}, 8)
+	g := New(Config{MaxBatch: 8, MaxWait: time.Minute}, inv)
 	defer g.Close()
+	occupy(t, g, inv) // a held dispatch keeps the next request queued
 	tk, err := g.Submit(context.Background(), Request{Action: "fn", Body: req("m", 0)})
 	if err != nil {
 		t.Fatal(err)
@@ -270,8 +278,9 @@ func TestWaitCtxExpiryWithdraws(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("WaitCtx = %v, want DeadlineExceeded", err)
 	}
-	if st := g.Stats(); st.Pending != 0 || st.Canceled != 1 {
-		t.Fatalf("after WaitCtx expiry: Pending=%d Canceled=%d, want 0/1", st.Pending, st.Canceled)
+	// Only the held request is still pending.
+	if st := g.Stats(); st.Pending != 1 || st.Canceled != 1 {
+		t.Fatalf("after WaitCtx expiry: Pending=%d Canceled=%d, want 1/1", st.Pending, st.Canceled)
 	}
 	if tk.Cancel() {
 		t.Fatal("Cancel after WaitCtx withdrawal reported true")

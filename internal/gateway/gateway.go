@@ -21,10 +21,15 @@
 //	    dispatch time, cannot be met given the queue's smoothed batch service
 //	    time — is failed fast with ErrDeadline instead of burning a batch
 //	    slot.
-//	  - Batching: requests for the same (action, model) coalesce until
-//	    MaxBatch have gathered or the oldest has waited MaxWait, then ship as
-//	    ONE activation (semirt.EncodeBatch) — one enclave entry serves the
-//	    whole batch, the paper's amortization applied to the request path.
+//	  - Batching: requests for the same (action, model) ship as ONE
+//	    activation (semirt.EncodeBatch) — one enclave entry serves the whole
+//	    batch, the paper's amortization applied to the request path.
+//	    Formation is work-conserving: a queue with no batch in flight
+//	    dispatches what is queued at once, and a completing dispatch hands
+//	    its freed slot whatever has gathered (up to MaxBatch). While a batch
+//	    is in flight, arrivals wait for a full batch, that completion, or
+//	    MaxWait — so batches grow because the backend is busy, and light
+//	    load never waits for company.
 //	  - Continuous batching (Config.Continuous): a dispatch opens a pinned
 //	    enclave session instead of a fire-once activation; queued requests
 //	    join the running batch between execution steps (mid-batch admission)
@@ -169,11 +174,13 @@ var (
 type Config struct {
 	// MaxBatch is the largest batch shipped in one activation (default 8).
 	MaxBatch int
-	// MaxWait bounds batch formation: a partial batch is dispatched once its
-	// oldest request has waited MaxWait (default 2ms). It is a formation
-	// deadline, not a latency SLO — when all MaxInFlight dispatch slots are
-	// occupied, queued requests wait for a slot regardless of MaxWait
-	// (that's the backpressure design).
+	// MaxWait caps batch formation on a busy queue (default 2ms). An idle
+	// queue never waits: it dispatches at once, and a completing dispatch
+	// ships whatever has gathered. Only while a batch is in flight does a
+	// partial batch wait, until it fills, a dispatch completes, or its oldest
+	// request has waited MaxWait. It is a formation cap, not a latency SLO —
+	// when all MaxInFlight dispatch slots are occupied, queued requests wait
+	// for a slot regardless of MaxWait (that's the backpressure design).
 	MaxWait time.Duration
 	// MaxQueue bounds each (action, model) queue; admission beyond it fails
 	// with ErrOverloaded (default 1024).
@@ -859,13 +866,16 @@ func splitQueueKey(key string) (action, model string, ok bool) {
 	return strings.Cut(key, "\x1f")
 }
 
-// flushLocked forms and dispatches batches while the queue has a full batch
-// (or force, for deadline flushes) and in-flight capacity remains. force
-// applies to the first batch formed — a deadline flush ships a partial
-// batch, but anything beyond it waits for its own deadline or fill. Batch
-// membership is chosen by deficit round robin across the queue's tenant
-// sub-queues (drainLocked), so under contention every backlogged tenant
-// owns its weighted share of each activation.
+// flushLocked forms and dispatches batches while in-flight capacity remains
+// and the queue either has a full batch, has nothing in flight (an idle
+// queue never waits for company), or force is set. force applies to the
+// first batch formed: a deadline flush, or a completed dispatch handing its
+// freed slot to whatever is queued, ships one partial batch, and anything
+// beyond it waits for a fill, the next completion or MaxWait. Batches thus
+// grow only while the backend is busy. Batch membership is chosen by
+// deficit round robin across the queue's tenant sub-queues (drainLocked), so
+// under contention every backlogged tenant owns its weighted share of each
+// activation.
 func (g *Gateway) flushLocked(q *queue, force bool) {
 	if g.sess != nil {
 		// Continuous batching: the dispatch drains its members only AFTER its
@@ -897,7 +907,7 @@ func (g *Gateway) flushLocked(q *queue, force bool) {
 		return
 	}
 	for q.inFlight < g.cfg.MaxInFlight && q.size > 0 {
-		if q.size < g.cfg.MaxBatch && !force {
+		if q.size < g.cfg.MaxBatch && !force && q.inFlight > 0 {
 			return
 		}
 		force = false
@@ -1009,12 +1019,13 @@ func (g *Gateway) shedLocked(p *pending, now time.Time, estimate time.Duration) 
 		p.tr.Anomaly("shed")
 		g.finishTrace(p)
 	}
-	tenant := p.tenant // the send is the last touch: a settled waiter may recycle p
-	p.done <- result{err: ErrDeadline}
+	// Account first: the send is the last touch (a settled waiter may recycle
+	// p), and a Stats() read after Wait must already count this outcome.
 	g.pending--
 	g.shed.Add(1)
 	g.served.Add(1)
-	g.tenantAddLocked(tenant, func(tc *tenantCounts) { tc.shed++; tc.served++ })
+	g.tenantAddLocked(p.tenant, func(tc *tenantCounts) { tc.shed++; tc.served++ })
+	p.done <- result{err: ErrDeadline}
 	return true
 }
 
@@ -1178,12 +1189,8 @@ func (g *Gateway) retryBackoff(attempt int) {
 func (g *Gateway) retryLocked(q *queue, p *pending, from time.Time) {
 	g.retries.Add(1)
 	if g.closed {
-		g.finishTrace(p)
-		tenant := p.tenant // send last: the waiter may recycle p on receipt
-		p.done <- result{err: ErrClosed}
-		g.served.Add(1)
 		g.pending--
-		g.tenantAddLocked(tenant, func(tc *tenantCounts) { tc.served++ })
+		g.failClosedLocked(p)
 		return
 	}
 	if p.tr != nil {
@@ -1313,36 +1320,25 @@ func (g *Gateway) dispatch(q *queue, batch []*pending, home string) {
 			p.tr.Observe(obs.StageDispatch, invokeStart, invokeEnd)
 		}
 	}
-	// Capture the fields the post-fan-out accounting needs BEFORE the sends:
-	// once a result is receivable its waiter may settle and recycle the
-	// envelope (pool.go), so the send must be the dispatcher's last touch.
-	tenants := make([]string, len(batch))
-	for i, p := range batch {
-		tenants[i] = p.tenant
-	}
+	// Sends on the buffered done channels never block, so the fan-out runs
+	// under g.mu, where answerLocked accounts each outcome before its send.
+	svc := time.Since(start)
+	g.mu.Lock()
 	for i, p := range batch {
 		r := result{err: g.failFinal(p, err)}
 		if err == nil {
 			r = result{resp: results[i].Response, err: results[i].Err}
 		}
-		enq := p.enq
-		p.done <- r
-		g.served.Add(1)
-		g.m.E2E.Observe(float64(time.Since(enq)) / float64(time.Millisecond))
+		g.answerLocked(p, r, fanStart)
 	}
-	svc := time.Since(start)
 	if len(retry) > 0 {
 		// Pace the re-dispatch while still holding the dispatch slot, so a
 		// flapping backend sees backoff, not a tight retry loop.
+		g.mu.Unlock()
 		g.retryBackoff(retry[0].retries)
+		g.mu.Lock()
 	}
-
-	g.mu.Lock()
 	q.inFlight--
-	g.pending -= len(batch)
-	for _, tenant := range tenants {
-		g.tenantAddLocked(tenant, func(tc *tenantCounts) { tc.served++ })
-	}
 	for _, p := range retry {
 		// Fairness-neutral re-queue (original enqueue time, no fresh
 		// deficit); the tail's flush re-dispatches — by then the breaker has
@@ -1360,7 +1356,9 @@ func (g *Gateway) dispatch(q *queue, batch []*pending, home string) {
 	if g.rt != nil && home != "" {
 		needRehome = g.noteServedLocked(q, home, servedOn)
 	}
-	g.flushLocked(q, false)
+	// The freed slot takes whatever is queued, up to MaxBatch: requests that
+	// gathered behind this batch ship now instead of waiting out MaxWait.
+	g.flushLocked(q, true)
 	g.armTimerLocked(q)
 	g.reapLocked(q)
 	g.mu.Unlock()
@@ -1626,6 +1624,28 @@ func (g *Gateway) maybePrewarmLocked(q *queue) {
 	}()
 }
 
+// answerLocked delivers a dispatched request's outcome, accounting it first:
+// a Stats() or TenantSnapshot() read after Wait returns must already count
+// it, and the send is the last touch of p (its waiter may settle and recycle
+// the envelope, pool.go). now closes the request's end-to-end latency.
+func (g *Gateway) answerLocked(p *pending, r result, now time.Time) {
+	g.pending--
+	g.served.Add(1)
+	g.tenantAddLocked(p.tenant, func(tc *tenantCounts) { tc.served++ })
+	g.m.E2E.Observe(float64(now.Sub(p.enq)) / float64(time.Millisecond))
+	p.done <- r
+}
+
+// failClosedLocked answers p with ErrClosed. The outcome is accounted before
+// the send, which is the last touch of p (a settled waiter may recycle it);
+// the caller releases p's pending slot if this gateway holds one.
+func (g *Gateway) failClosedLocked(p *pending) {
+	g.finishTrace(p)
+	g.served.Add(1)
+	g.tenantAddLocked(p.tenant, func(tc *tenantCounts) { tc.served++ })
+	p.done <- result{err: ErrClosed}
+}
+
 // Close rejects queued requests with ErrClosed, cancels in-flight
 // activations, and waits for dispatchers to drain. Subsequent Do calls fail
 // with ErrClosed.
@@ -1639,12 +1659,8 @@ func (g *Gateway) Close() {
 	for _, q := range g.queues {
 		for _, tq := range q.tenants {
 			for _, p := range tq.items {
-				g.finishTrace(p)
-				tenant := p.tenant // send last: the waiter may recycle p on receipt
-				p.done <- result{err: ErrClosed}
-				g.served.Add(1)
-				g.tenantAddLocked(tenant, func(tc *tenantCounts) { tc.served++ })
 				g.pending--
+				g.failClosedLocked(p)
 			}
 			tq.items = nil
 		}

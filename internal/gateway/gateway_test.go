@@ -93,9 +93,14 @@ func req(model string, i int) semirt.Request {
 
 func TestFlushOnMaxBatch(t *testing.T) {
 	inv := newFakeInvoker()
+	inv.block = make(chan struct{})
+	inv.started = make(chan struct{}, 8)
 	g := New(Config{MaxBatch: 4, MaxWait: time.Minute}, inv)
 	defer g.Close()
 
+	// A held dispatch keeps the queue busy, so the next arrivals wait for a
+	// full batch instead of shipping one by one.
+	held := occupy(t, g, inv)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -111,43 +116,133 @@ func TestFlushOnMaxBatch(t *testing.T) {
 			}
 		}(i)
 	}
+	<-inv.started // the full batch shipped while the first is still held
+	close(inv.block)
 	wg.Wait()
-	_, sizes := inv.dispatched("fn")
-	if len(sizes) != 1 || sizes[0] != 4 {
-		t.Fatalf("batches %v, want one batch of 4", sizes)
+	if _, err := held.Wait(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if st := g.Stats(); st.Accepted != 4 || st.Served != 4 || st.Batches != 1 {
+	_, sizes := inv.dispatched("fn")
+	if len(sizes) != 2 || sizes[1] != 4 {
+		t.Fatalf("batches %v, want the held one then one batch of 4", sizes)
+	}
+	if st := g.Stats(); st.Accepted != 5 || st.Served != 5 || st.Batches != 2 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
+// TestFlushOnMaxWait: MaxWait still caps a busy queue. While a batch is in
+// flight and nothing completes, a partial batch ships once its oldest
+// request has waited MaxWait.
 func TestFlushOnMaxWait(t *testing.T) {
 	inv := newFakeInvoker()
+	inv.block = make(chan struct{})
+	inv.started = make(chan struct{}, 8)
 	g := New(Config{MaxBatch: 64, MaxWait: 10 * time.Millisecond}, inv)
 	defer g.Close()
 
-	start := time.Now()
-	var wg sync.WaitGroup
+	tks := []*Ticket{occupy(t, g, inv)}
 	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := g.Do(context.Background(), "fn", req("m", i)); err != nil {
-				t.Error(err)
+		tk, err := g.Submit(context.Background(), Request{Action: "fn", Body: req("m", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks = append(tks, tk)
+	}
+	select {
+	case <-inv.started:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a partial batch on a busy queue never shipped: MaxWait no longer caps it")
+	}
+	// Nothing completed and no batch filled: only the timer can have shipped
+	// a second batch.
+	if _, sizes := inv.dispatched("fn"); len(sizes) < 2 {
+		t.Fatalf("dispatched %v, want the held batch then a MaxWait-flushed partial one", sizes)
+	}
+	close(inv.block)
+	for i, tk := range tks {
+		if _, err := tk.Wait(context.Background()); err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
+		}
+	}
+}
+
+// TestWorkConservingFormation pins the formation rule with MaxWait an hour,
+// so the timer cannot be what ships anything. An idle queue dispatches at
+// once; a queue with a batch in flight holds arrivals until they fill a batch
+// or that batch completes, even with free dispatch slots (MaxInFlight 4).
+func TestWorkConservingFormation(t *testing.T) {
+	const maxBatch = 4
+	cases := []struct {
+		name     string
+		hold     bool  // a first request holds a dispatch in flight
+		arrivals int   // requests submitted after it
+		queued   int   // backlog once the arrivals are in
+		before   []int // batch sizes shipped while the held batch is in flight
+		after    []int // batch sizes once every request is answered
+	}{
+		{"idle queue ships alone at once", false, 1, 0, []int{1}, []int{1}},
+		{"busy queue ships k on completion", true, maxBatch - 1, maxBatch - 1, []int{1}, []int{1, maxBatch - 1}},
+		{"busy queue ships a full batch at once", true, maxBatch, 0, []int{1, maxBatch}, []int{1, maxBatch}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inv := newFakeInvoker()
+			inv.block = make(chan struct{})
+			inv.started = make(chan struct{}, 8)
+			g := New(Config{MaxBatch: maxBatch, MaxWait: time.Hour}, inv)
+			defer g.Close()
+
+			var tks []*Ticket
+			if tc.hold {
+				tks = append(tks, occupy(t, g, inv))
 			}
-		}(i)
+			for i := 0; i < tc.arrivals; i++ {
+				tk, err := g.Submit(context.Background(), Request{Action: "fn", Body: req("m", i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tks = append(tks, tk)
+			}
+			if got := g.Backlog(); got != tc.queued {
+				t.Fatalf("backlog %d after the arrivals, want %d", got, tc.queued)
+			}
+			for i := len(tks) - tc.arrivals; i < len(tc.before); i++ {
+				<-inv.started // occupy already took the held batch's token
+			}
+			if _, sizes := inv.dispatched("fn"); fmt.Sprint(sizes) != fmt.Sprint(tc.before) {
+				t.Fatalf("shipped %v while held, want %v", sizes, tc.before)
+			}
+			close(inv.block)
+			for i, tk := range tks {
+				if _, err := tk.Wait(context.Background()); err != nil {
+					t.Fatalf("ticket %d: %v", i, err)
+				}
+			}
+			if _, sizes := inv.dispatched("fn"); fmt.Sprint(sizes) != fmt.Sprint(tc.after) {
+				t.Fatalf("shipped %v, want %v", sizes, tc.after)
+			}
+		})
 	}
-	wg.Wait()
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("deadline flush took %v", d)
-	}
-	_, sizes := inv.dispatched("fn")
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	if total != 3 {
-		t.Fatalf("dispatched %v, want 3 requests total", sizes)
+}
+
+// TestStatsCountOutcomeBeforeDelivery: the gateway accounts an outcome before
+// it delivers it, so once Wait has returned n times, Stats() and
+// TenantSnapshot() count n served and nothing pending.
+func TestStatsCountOutcomeBeforeDelivery(t *testing.T) {
+	g := New(Config{MaxBatch: 1, MaxWait: time.Hour}, newFakeInvoker())
+	defer g.Close()
+	for n := 1; n <= 200; n++ {
+		if _, err := g.Do(context.Background(), "fn", req("m", n)); err != nil {
+			t.Fatal(err)
+		}
+		st := g.Stats()
+		if st.Served != uint64(n) || st.Pending != 0 {
+			t.Fatalf("after %d answers: served=%d pending=%d", n, st.Served, st.Pending)
+		}
+		if tc := g.TenantSnapshot()[DefaultTenant]; tc.Served != uint64(n) {
+			t.Fatalf("after %d answers: tenant served=%d", n, tc.Served)
+		}
 	}
 }
 
@@ -458,9 +553,13 @@ func TestDrainedQueuesAreReaped(t *testing.T) {
 // queue must dispatch with a real service window left, not at the wire.
 func TestColdQueueDeadlineWatchdogLeavesServiceMargin(t *testing.T) {
 	inv := newFakeInvoker()
-	// MaxWait an hour: only the deadline machinery can flush this batch.
+	inv.block = make(chan struct{})
+	inv.started = make(chan struct{}, 8)
+	// MaxWait an hour, and a held dispatch keeps the queue busy without ever
+	// completing a batch: only the deadline machinery can flush this one.
 	g := New(Config{MaxBatch: 64, MaxWait: time.Hour, MinService: 150 * time.Millisecond}, inv)
 	defer g.Close()
+	held := occupy(t, g, inv)
 
 	start := time.Now()
 	tk, err := g.Submit(context.Background(), Request{
@@ -471,16 +570,21 @@ func TestColdQueueDeadlineWatchdogLeavesServiceMargin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatalf("cold-queue deadline request failed: %v", err)
-	}
+	<-inv.started
 	// The margin (MinService + 25% + 1ms ≈ 189ms) flushes almost immediately;
 	// the buggy ~1ms margin waited until ~199ms after submit.
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Fatalf("dispatch took %v, want well before the 200ms deadline (margin floor)", d)
 	}
-	if _, sizes := inv.dispatched("fn"); len(sizes) != 1 || sizes[0] != 1 {
-		t.Fatalf("dispatched %v, want the single cold request", sizes)
+	close(inv.block)
+	if _, err := tk.Wait(context.Background()); err != nil {
+		t.Fatalf("cold-queue deadline request failed: %v", err)
+	}
+	if _, err := held.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, sizes := inv.dispatched("fn"); len(sizes) != 2 || sizes[1] != 1 {
+		t.Fatalf("dispatched %v, want the held batch then the single cold request", sizes)
 	}
 }
 

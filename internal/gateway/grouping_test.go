@@ -10,8 +10,8 @@ import (
 )
 
 // submitUsers enqueues one request per user key (in order) and returns the
-// tickets; MaxBatch equal to the count makes the final submit flush them as
-// ONE batch.
+// tickets; on a busy queue, MaxBatch equal to the count makes the final
+// submit flush them as ONE batch.
 func submitUsers(t *testing.T, g *Gateway, users []string) []*Ticket {
 	t.Helper()
 	tks := make([]*Ticket, len(users))
@@ -37,9 +37,15 @@ func TestGroupUsersFormsRuns(t *testing.T) {
 
 	run := func(group bool) []string {
 		inv := newFakeInvoker()
+		inv.block = make(chan struct{})
+		inv.started = make(chan struct{}, 8)
 		g := New(Config{MaxBatch: len(users), MaxWait: time.Hour, GroupUsers: group}, inv)
 		defer g.Close()
+		// A held dispatch keeps the queue busy, so the users gather into one
+		// full batch instead of the first shipping alone.
+		occupy(t, g, inv)
 		tks := submitUsers(t, g, users)
+		close(inv.block)
 		for i, tk := range tks {
 			resp, err := tk.Wait(context.Background())
 			if err != nil {
@@ -53,11 +59,11 @@ func TestGroupUsersFormsRuns(t *testing.T) {
 		}
 		inv.mu.Lock()
 		defer inv.mu.Unlock()
-		if len(inv.batches["fn"]) != 1 {
-			t.Fatalf("dispatched %d batches, want 1", len(inv.batches["fn"]))
+		if len(inv.batches["fn"]) != 2 {
+			t.Fatalf("dispatched %d batches, want the held one and 1 more", len(inv.batches["fn"]))
 		}
 		var order []string
-		for _, r := range inv.batches["fn"][0] {
+		for _, r := range inv.batches["fn"][1] {
 			order = append(order, string(r.UserID))
 		}
 		return order
@@ -131,14 +137,14 @@ func TestGroupRunNeverCrossesTenantBoundary(t *testing.T) {
 		return tk
 	}
 
-	// Two fillers occupy the only dispatch slot (blocked in the invoker), so
+	// A filler occupies the only dispatch slot (blocked in the invoker), so
 	// the interesting arrivals queue up and drain together afterwards.
-	tks := []*Ticket{submit("fill", "f", 'x'), submit("fill", "f", 'y')}
+	tks := []*Ticket{submit("fill", "f", 'x')}
 	<-inv.started
 	// Tenant A queues user g1; tenant B queues g2 then two g1s. The round
 	// robin takes A's g1 first — if the run leaks across the boundary,
 	// popGroup hoists B's g1 over B's earlier g2. Four queued requests form
-	// two full batches, so nothing is left waiting on the hour-long window.
+	// two full batches, each shipped by the completion of the one before.
 	tks = append(tks, submit("A", "g1", 'a'), submit("B", "g2", 'b'),
 		submit("B", "g1", 'c'), submit("B", "g1", 'd'))
 	close(inv.block)
@@ -150,14 +156,14 @@ func TestGroupRunNeverCrossesTenantBoundary(t *testing.T) {
 
 	payloads, sizes := inv.dispatched("fn")
 	if len(sizes) != 3 || sizes[1] != 2 || sizes[2] != 2 {
-		t.Fatalf("batch sizes %v, want [2 2 2]", sizes)
+		t.Fatalf("batch sizes %v, want [1 2 2]", sizes)
 	}
 	// Second batch: A's g1 plus tenant B's OLDEST request (g2) — not a B:g1
 	// hoisted over it by A's leaked group run.
-	if got := payloads[2] + payloads[3]; got != "ab" {
+	if got := payloads[1] + payloads[2]; got != "ab" {
 		t.Fatalf("second batch %q, want \"ab\" (A:g1 then B:g2, tenant FIFO intact)", got)
 	}
-	if got := payloads[4] + payloads[5]; got != "cd" {
+	if got := payloads[3] + payloads[4]; got != "cd" {
 		t.Fatalf("last batch %q, want \"cd\"", got)
 	}
 }

@@ -22,11 +22,6 @@ import (
 // sessMember tracks one resident member of a live session.
 type sessMember struct {
 	p *pending
-	// tenant and enq are captured from p at admission: the result send is the
-	// last permitted touch of p (the waiter may recycle the envelope, see
-	// pool.go), and the post-send accounting needs both.
-	tenant string
-	enq    time.Time
 	// sent is the member's admission into this session — the per-member
 	// dispatch→fan-out clock behind the queue's svcEWMA.
 	sent time.Time
@@ -37,10 +32,9 @@ type sessMember struct {
 	steps int
 }
 
-// newSessMember admits p into a session at time now, capturing the fields
-// the fan-out accounting reads after the send.
+// newSessMember admits p into a session at time now.
 func newSessMember(p *pending, now time.Time) *sessMember {
-	return &sessMember{p: p, tenant: p.tenant, enq: p.enq, sent: now, steps: p.req.StepsDone}
+	return &sessMember{p: p, sent: now, steps: p.req.StepsDone}
 }
 
 // openSessionSafe opens a pinned session with panics recovered, like
@@ -76,12 +70,8 @@ func (g *Gateway) stepSafe(sess InvokeSession, payload []byte) (raw []byte, err 
 func (g *Gateway) requeueLocked(q *queue, p *pending) {
 	g.preemptions.Add(1)
 	if g.closed {
-		g.finishTrace(p)
-		tenant := p.tenant // send last: the waiter may recycle p on receipt
-		p.done <- result{err: ErrClosed}
-		g.served.Add(1)
 		g.pending--
-		g.tenantAddLocked(tenant, func(tc *tenantCounts) { tc.served++ })
+		g.failClosedLocked(p)
 		return
 	}
 	if p.tr != nil {
@@ -200,8 +190,7 @@ func (g *Gateway) dispatchSession(q *queue, home string) {
 				break
 			}
 			now = time.Now()
-			var requeue []*pending
-			var finished []*sessMember
+			g.mu.Lock()
 			for _, d := range resp.Done {
 				sm, ok := members[d.ID]
 				if !ok {
@@ -215,7 +204,7 @@ func (g *Gateway) dispatchSession(q *queue, home string) {
 						sm.p.tr.Observe(obs.StageDispatch, sm.sent, now)
 					}
 					sm.p.req.StepsDone = d.StepsDone
-					requeue = append(requeue, sm.p)
+					g.requeueLocked(q, sm.p)
 					continue
 				}
 				if sm.p.tr != nil {
@@ -235,30 +224,6 @@ func (g *Gateway) dispatchSession(q *queue, home string) {
 					}
 					g.finishTrace(sm.p)
 				}
-				// Fan out at the step boundary the member completed at — the
-				// whole point of the discipline: no waiting for the session.
-				// The send is the last touch of sm.p; accounting below uses
-				// the member's captured tenant/enq.
-				sm.p.done <- result{resp: d.Response, err: d.Err}
-				g.served.Add(1)
-				g.m.E2E.Observe(float64(now.Sub(sm.enq)) / float64(time.Millisecond))
-				svcSum += now.Sub(sm.sent)
-				served++
-				finished = append(finished, sm)
-			}
-			// Every member still resident executed one step this frame; the
-			// count is the progress a session-recovery retry carries.
-			for _, sm := range members {
-				sm.steps++
-			}
-			join = nil
-			g.mu.Lock()
-			for _, p := range requeue {
-				g.requeueLocked(q, p)
-			}
-			g.pending -= len(finished)
-			for _, sm := range finished {
-				g.tenantAddLocked(sm.tenant, func(tc *tenantCounts) { tc.served++ })
 				// Per-member smoothed service time: the deadline shedder's
 				// estimate must track a member's session residency, not the
 				// session's (unbounded) lifetime.
@@ -268,7 +233,18 @@ func (g *Gateway) dispatchSession(q *queue, home string) {
 				} else {
 					q.svcEWMA += (svc - q.svcEWMA) / 4
 				}
+				svcSum += svc
+				served++
+				// Fan out at the step boundary the member completed at — the
+				// whole point of the discipline: no waiting for the session.
+				g.answerLocked(sm.p, result{resp: d.Response, err: d.Err}, now)
 			}
+			// Every member still resident executed one step this frame; the
+			// count is the progress a session-recovery retry carries.
+			for _, sm := range members {
+				sm.steps++
+			}
+			join = nil
 			// Mid-batch admission: refill from the backlog (preempted members
 			// just re-queued compete here on their original arrival order).
 			if !g.closed && q.size > 0 && len(members) < g.cfg.MaxBatch {
@@ -326,12 +302,7 @@ func (g *Gateway) dispatchSession(q *queue, home string) {
 				sm.p.tr.Observe(obs.StageDispatch, sm.sent, now)
 				g.finishTrace(sm.p)
 			}
-			r := result{err: g.failFinal(sm.p, frameErr)}
-			sm.p.done <- r // last touch of sm.p; accounting uses the captures
-			g.served.Add(1)
-			g.m.E2E.Observe(float64(now.Sub(sm.enq)) / float64(time.Millisecond))
-			g.pending--
-			g.tenantAddLocked(sm.tenant, func(tc *tenantCounts) { tc.served++ })
+			g.answerLocked(sm.p, result{err: g.failFinal(sm.p, frameErr)}, now)
 		}
 		for _, sm := range retry {
 			if sm.p.tr != nil {

@@ -130,11 +130,8 @@ func (g *Gateway) AcceptStolen(s *Stolen) int {
 	g.mu.Lock()
 	if g.closed {
 		for _, p := range items {
-			g.finishTrace(p)
-			tenant := p.tenant // send last: the waiter may recycle p on receipt
-			p.done <- result{err: ErrClosed}
-			g.served.Add(1)
-			g.tenantAddLocked(tenant, func(tc *tenantCounts) { tc.served++ })
+			// No pending slot to release: StealQueue released it on the source.
+			g.failClosedLocked(p)
 		}
 		g.mu.Unlock()
 		return n

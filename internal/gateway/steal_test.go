@@ -125,16 +125,17 @@ func TestStealFairnessNeutral(t *testing.T) {
 	// White box: accept on a fresh destination and inspect its queue before
 	// any dispatch runs — the stolen items must re-enter resumed (so their
 	// next drain burns no fresh deficit) at original-arrival positions.
-	dst := New(Config{MaxBatch: 8, MaxWait: time.Hour, MaxInFlight: 1}, newFakeInvoker())
-	defer dst.Close()
+	dst, _, _ := blockedGateway(t, Config{MaxBatch: 8, MaxWait: time.Hour, MaxInFlight: 1})
 	// Park a request on the destination FIRST with a LATER arrival than the
 	// stolen ones: original-arrival insertion must place every stolen item
-	// ahead of it.
-	parked, err := dst.Submit(ctx, Request{Action: "a", Body: req("m", 99)})
-	if err != nil {
-		t.Fatal(err)
+	// ahead of it. The request before it ships at once to the idle queue and
+	// holds the only dispatch slot, so the parked one and the drain stay
+	// queued.
+	for i := 98; i <= 99; i++ {
+		if _, err := dst.Submit(ctx, Request{Action: "a", Body: req("m", i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_ = parked
 	dst.AcceptStolen(s)
 
 	dst.mu.Lock()

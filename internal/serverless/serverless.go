@@ -779,6 +779,12 @@ func (c *Cluster) place(ctx context.Context, as *actionState, hint *Node) (*Sand
 		as.startMu.Unlock()
 		return nil, ErrClosed
 	}
+	// Read starting BEFORE rebuilding the snapshot: startSandbox publishes a
+	// sandbox as ready (under its node lock) before it leaves starting, so one
+	// missing from the snapshot is still counted here. Read after, a sandbox
+	// turning ready in between is in neither, and this waiter would start a
+	// second one it does not need.
+	starting := as.starting.Load()
 	snap := c.rebuildSnapshot(as)
 	max := int32(as.a.Concurrency)
 	if hint != nil {
@@ -806,7 +812,7 @@ func (c *Cluster) place(ctx context.Context, as *actionState, hint *Node) (*Sand
 	// Sandboxes already starting absorb pending demand: if their spare
 	// slots cover every current waiter, wait for them instead of starting
 	// more. (Start failures notify, so absorbed waiters always re-place.)
-	if st := as.starting.Load(); st > 0 && int(st)*as.a.Concurrency >= int(as.waiters.Load()) {
+	if starting > 0 && int(starting)*as.a.Concurrency >= int(as.waiters.Load()) {
 		as.startMu.Unlock()
 		return nil, nil
 	}
